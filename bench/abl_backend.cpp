@@ -4,11 +4,7 @@
 //   simd       what BackendKind::kSimd resolves to on this host (widest of
 //              AVX-512 / AVX2 / the portable 4-wide engine),
 //   portable   the 4-wide fallback engine, pinned explicitly so a host with
-//              AVX still measures the no-ISA path,
-//   jit        runtime-compiled kernels (docs/jit.md), warmed before the
-//              timed loops: main() pre-issues every key the benchmarks
-//              request and drains the compile queue, so the numbers are
-//              steady-state kernel throughput, not compiler latency.
+//              AVX still measures the no-ISA path.
 //
 // Three benchmark families, named so mg_consolidate.py can parse the
 // backend as a dimension (BM_Backend<family>/<primitive>/<backend>/<n>):
@@ -17,27 +13,24 @@
 //              (the per-primitive breakdown),
 //   Fused      the resid/psinv inner row path exactly as the kPlanes engine
 //              issues it — one stencil_row call per interior row (plane
-//              sums + combine fused; the default engines compose the two
-//              passes, the jit engine runs a single generated loop) — on an
-//              n x n slab that stays cache-resident, isolating row-engine
-//              throughput from DRAM bandwidth,
+//              sums, then the combine) — on an n x n slab that stays
+//              cache-resident, isolating row-engine throughput from DRAM
+//              bandwidth,
 //   Kernel     the full relax_kernel under StencilMode::kPlanes with the
 //              backend selected through ScopedConfig, for end-to-end
 //              context (memory-bound at n = 130, so speedups compress).
 //
 // bench/run_all.sh gates the fused resid/psinv rows at the class-W-sized
-// grid (n = 66): simd under 1.5x over scalar, or jit under 2.0x, fails the
-// bench run (BENCH_mg.json "backend" section).
+// grid (n = 66): simd under 1.5x over scalar fails the bench run
+// (BENCH_mg.json "backend" section).
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "sacpp/sac/backend.hpp"
-#include "sacpp/sac/jit.hpp"
 #include "sacpp/sac/sac.hpp"
 
 namespace {
@@ -292,7 +285,6 @@ constexpr Engine kEngines[] = {
     {"scalar", sac::BackendKind::kScalar},
     {"simd", sac::BackendKind::kSimd},
     {"portable", sac::BackendKind::kSimdPortable},
-    {"jit", sac::BackendKind::kJit},
 };
 
 struct RowBench {
@@ -344,67 +336,9 @@ void register_benches() {
   }
 }
 
-// Pre-issue every kernel key the jit benchmarks below will request, then
-// drain the compile queue: the timed loops measure generated-code
-// throughput, never source-to-dlopen latency.  Sync compilation is forced
-// unless the caller already chose (overwrite=0), so a cold cache warms in
-// one pass either way.
-void warm_jit() {
-  ::setenv("SACPP_JIT_SYNC", "1", /*overwrite=*/0);
-  const Backend& be = sac::backend_for(sac::BackendKind::kJit);
-  for (const extent_t n : {extent_t{34}, extent_t{66}, extent_t{130}}) {
-    FusedSlab s(n);
-    for (const bool acc : {false, true}) {
-      const sac::StencilCoeffs& c = acc ? kPsinv : kResid;
-      be.stencil_row(c.c.data(), s.row(s.pc, 1), s.row(s.pm, 1),
-                     s.row(s.pp, 1), s.row(s.pc, 0), s.row(s.pc, 2),
-                     s.row(s.pm, 0), s.row(s.pm, 2), s.row(s.pp, 0),
-                     s.row(s.pp, 2), s.u1.data(), s.u2.data(),
-                     s.out.data() + static_cast<std::size_t>(n), 1, n - 1, n,
-                     acc);
-    }
-  }
-  {
-    const extent_t n = 66;
-    const std::size_t len = static_cast<std::size_t>(n);
-    const auto a = noise(len, 91);
-    std::vector<double> out = noise(len, 92);
-    std::vector<double> u1(len), u2(len);
-    const auto s2 = noise(2 * len, 93);
-    std::vector<double> wide(2 * len);
-    be.plane_sums(a.data(), a.data(), a.data(), a.data(), a.data(), a.data(),
-                  a.data(), a.data(), u1.data(), u2.data(), n);
-    be.combine_row(kResid.c.data(), a.data(), u1.data(), u2.data(),
-                   out.data(), 1, n - 1);
-    be.accumulate_row(kPsinv.c.data(), a.data(), u1.data(), u2.data(),
-                      out.data(), 1, n - 1);
-    be.add_into_row(a.data(), out.data(), 0, n);
-    be.sub_into_row(a.data(), out.data(), 0, n);
-    be.mul_into_row(a.data(), out.data(), 0, n);
-    be.gather_row(out.data(), s2.data(), 2, n);
-    be.scatter_row(wide.data(), 2, a.data(), n);
-    benchmark::DoNotOptimize(be.sum_sq_row(0.0, a.data(), 0, n));
-    benchmark::DoNotOptimize(be.max_abs_row(0.0, a.data(), 0, n));
-  }
-  {
-    // The end-to-end kernel family: run it once so every row shape the
-    // with-loop engine issues at n = 66 (boundary sub-ranges included) has
-    // its kernel before timing starts.
-    sac::SacConfig cfg = sac::config();
-    cfg.stencil_mode = sac::StencilMode::kPlanes;
-    cfg.backend = sac::BackendKind::kJit;
-    sac::ScopedConfig scoped(cfg);
-    auto a = input_grid(66);
-    auto r = sac::relax_kernel(a, kResid, sac::StencilMode::kPlanes);
-    benchmark::DoNotOptimize(r.data());
-  }
-  sac::jit::drain();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  warm_jit();
   register_benches();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -3,22 +3,17 @@
 
 Usage:
     mg_consolidate.py ABL_JSON BACKEND_JSON SCHEMA_JSON OUT_JSON \
-        MIN_IMPROVEMENT_PCT MIN_SPEEDUP MIN_JIT_SPEEDUP MAX_JIT_WALL_RATIO \
-        RUN_TXT... [meta...]
+        MIN_IMPROVEMENT_PCT MIN_SPEEDUP RUN_TXT... [meta...]
 
 ABL_JSON is abl_stencil's google-benchmark JSON output, BACKEND_JSON is
 abl_backend's; each RUN_TXT is one teed npb_mg result block.  The summary
 records per-run wall time / Mop/s / verification verdict (plus stencil
 mode, backend, and reused-row count for the SAC variants), the per-kernel
 ns/point ladder, and the per-row-primitive backend breakdown, then applies
-four gates at the class-W-sized grid (n = 66):
+two gates at the class-W-sized grid (n = 66):
   * the kPlanes improvement over kGrouped must reach MIN_IMPROVEMENT_PCT;
   * the simd row engine must beat scalar by MIN_SPEEDUP x on the fused
-    resid and psinv row paths (BM_BackendFused, docs/backends.md);
-  * the jit row engine must beat scalar by MIN_JIT_SPEEDUP x on the same
-    fused rows, with its kernels warm (docs/jit.md);
-  * the warm class-W jit wall time must stay within MAX_JIT_WALL_RATIO of
-    the simd run's (both planes-mode SAC runs).
+    resid and psinv row paths (BM_BackendFused, docs/backends.md).
 A failed gate, an unparseable run, or an UNSUCCESSFUL verification is a
 bench failure, not a silent artifact.  The file is written only after the
 summary validates against the checked-in schema.
@@ -140,69 +135,15 @@ def backend_gate(points, min_speedup):
     return gate
 
 
-def jit_gate(points, runs, min_speedup, max_wall_ratio):
-    """The warm jit-vs-scalar fused-row speedup plus the class-W wall check.
-
-    The fused samples come from abl_backend, which drains the kernel cache
-    before timing, so they measure compiled kernels, not the fallback.  The
-    wall check compares the planes-mode SAC class-W runs on the jit and simd
-    engines; run_all.sh warms the jit disk cache first, so the timed run
-    dlopens kernels instead of compiling them.
-    """
-    fused = {
-        (p["primitive"], p["backend"]): p["ns_per_point"]
-        for p in points
-        if p["family"] == "fused" and p["n"] == GATE_N
-    }
-    gate = {"n": GATE_N, "min_speedup": min_speedup}
-    for prim in ("resid", "psinv"):
-        try:
-            scalar = fused[(prim, "scalar")]
-            jit = fused[(prim, "jit")]
-        except KeyError as e:
-            raise ValueError(f"no fused {prim} sample for backend {e}")
-        gate[prim] = {
-            "scalar_ns_per_point": scalar,
-            "jit_ns_per_point": jit,
-            "speedup": scalar / jit,
-        }
-    wall = {}
-    for r in runs:
-        # npb_mg reports the backend with its engine suffix ("jit [jit]",
-        # "simd [avx512]"); the gate keys on the backend name alone.
-        backend = r.get("backend", "").split()[0] if r.get("backend") else ""
-        if (
-            r["impl"].lower() == "sac"
-            and r["class"] == "W"
-            and r.get("stencil_mode") == "planes"
-            and backend in ("jit", "simd")
-        ):
-            wall[backend] = r["seconds"]
-    if "jit" not in wall or "simd" not in wall:
-        raise ValueError(
-            "class-W planes runs on both the jit and simd backends are "
-            f"required for the wall gate; got {sorted(wall)}"
-        )
-    gate["class_w_wall"] = {
-        "jit_seconds": wall["jit"],
-        "simd_seconds": wall["simd"],
-        "ratio": wall["jit"] / wall["simd"],
-        "max_ratio": max_wall_ratio,
-    }
-    return gate
-
-
 def main(argv):
-    if len(argv) < 10:
+    if len(argv) < 8:
         sys.stderr.write(__doc__)
         return 2
     abl_path, backend_path, schema_path, out_path = argv[1:5]
     min_improvement = float(argv[5])
     min_speedup = float(argv[6])
-    min_jit_speedup = float(argv[7])
-    max_jit_wall_ratio = float(argv[8])
-    run_paths = [a for a in argv[9:] if "=" not in a]
-    run_meta = dict(kv.split("=", 1) for kv in argv[9:] if "=" in kv)
+    run_paths = [a for a in argv[7:] if "=" not in a]
+    run_meta = dict(kv.split("=", 1) for kv in argv[7:] if "=" in kv)
 
     runs = [parse_run(p) for p in run_paths]
     bad = [r for r in runs if r["verification"] == "UNSUCCESSFUL"]
@@ -226,9 +167,6 @@ def main(argv):
     backend_points = parse_backend_ablation(backend_path)
     try:
         be_gate = backend_gate(backend_points, min_speedup)
-        be_jit_gate = jit_gate(
-            backend_points, runs, min_jit_speedup, max_jit_wall_ratio
-        )
     except ValueError as e:
         sys.stderr.write(f"{backend_path}: {e}\n")
         return 1
@@ -249,7 +187,6 @@ def main(argv):
         "backend": {
             "points": backend_points,
             "gate": be_gate,
-            "jit_gate": be_jit_gate,
         },
     }
 
@@ -272,12 +209,7 @@ def main(argv):
         f"(gate {min_improvement:.0f}%); simd vs scalar fused rows: "
         f"resid {be_gate['resid']['speedup']:.2f}x, "
         f"psinv {be_gate['psinv']['speedup']:.2f}x "
-        f"(gate {min_speedup:.2f}x); jit vs scalar fused rows: "
-        f"resid {be_jit_gate['resid']['speedup']:.2f}x, "
-        f"psinv {be_jit_gate['psinv']['speedup']:.2f}x "
-        f"(gate {min_jit_speedup:.2f}x); class-W jit/simd wall ratio "
-        f"{be_jit_gate['class_w_wall']['ratio']:.2f} "
-        f"(gate {max_jit_wall_ratio:.2f})"
+        f"(gate {min_speedup:.2f}x)"
     )
     failed = False
     if improvement < min_improvement:
@@ -296,23 +228,6 @@ def main(argv):
                 f"(required {min_speedup:.2f}x)\n"
             )
             failed = True
-    for prim in ("resid", "psinv"):
-        speedup = be_jit_gate[prim]["speedup"]
-        if speedup < min_jit_speedup:
-            sys.stderr.write(
-                f"GATE FAILED: jit row engine beats scalar by only "
-                f"{speedup:.2f}x on fused {prim} at n={GATE_N} "
-                f"(required {min_jit_speedup:.2f}x)\n"
-            )
-            failed = True
-    wall = be_jit_gate["class_w_wall"]
-    if wall["ratio"] > wall["max_ratio"]:
-        sys.stderr.write(
-            f"GATE FAILED: warm class-W jit wall time is "
-            f"{wall['ratio']:.2f}x the simd run's "
-            f"(allowed {wall['max_ratio']:.2f}x)\n"
-        )
-        failed = True
     return 1 if failed else 0
 
 

@@ -44,11 +44,7 @@ run ext_rank            "$BUILD/bench/ext_rank"
 run abl_graph           "$BUILD/bench/abl_graph"
 run abl_stencil         "$BUILD/bench/abl_stencil" --benchmark_min_time=0.2 \
   --benchmark_out="$OUT/abl_stencil.json" --benchmark_out_format=json
-# abl_backend's jit column needs compiled kernels: the bench drains the
-# kernel cache before timing, and the shared cache dir lets the class-W jit
-# runs below reuse the same .so files instead of recompiling.
-run abl_backend env SACPP_JIT_SYNC=1 SACPP_JIT_CACHE_DIR="$OUT/jit_cache" \
-  "$BUILD/bench/abl_backend" --benchmark_min_time=0.2 \
+run abl_backend         "$BUILD/bench/abl_backend" --benchmark_min_time=0.2 \
   --benchmark_repetitions=5 \
   --benchmark_out="$OUT/abl_backend.json" --benchmark_out_format=json
 run abl_specialize      "$BUILD/bench/abl_specialize" --benchmark_min_time=0.2
@@ -67,14 +63,12 @@ run obs_consolidate python3 "$(dirname "$0")/obs_consolidate.py" \
 
 # MG timing artifact: every variant at classes S and W, the SAC variants in
 # both the grouped and the shared plane-sum (kPlanes) stencil engines
-# (docs/stencil.md), plus kPlanes runs on the simd and jit row engines
-# (docs/backends.md, docs/jit.md).  The consolidator joins these wall times
-# with abl_stencil's ns/point ladder and abl_backend's per-primitive
-# breakdown into BENCH_mg.json, validates it against bench/mg_schema.json,
-# and gates at the class-W-sized grid (n = 66): planes-vs-grouped
-# improvement under 20%, a fused-row simd-vs-scalar speedup under 1.5x, a
-# warm fused-row jit-vs-scalar speedup under 2.0x, or a warm class-W jit
-# wall time above 1.10x the simd run's fails the bench run.
+# (docs/stencil.md), plus a kPlanes run on the simd row engine
+# (docs/backends.md).  The consolidator joins these wall times with
+# abl_stencil's ns/point ladder and abl_backend's per-primitive breakdown
+# into BENCH_mg.json, validates it against bench/mg_schema.json, and gates
+# at the class-W-sized grid (n = 66): planes-vs-grouped improvement under
+# 20% or a fused-row simd-vs-scalar speedup under 1.5x fails the bench run.
 for cls in S W; do
   for mode in grouped planes; do
     run "time_mg_sac_${cls}_${mode}" "$BUILD/examples/npb_mg" \
@@ -84,26 +78,13 @@ for cls in S W; do
   done
   run "time_mg_sac_${cls}_planes_simd" "$BUILD/examples/npb_mg" \
     --class "$cls" --impl sac --stencil-mode planes --backend simd
-  # The jit engine is timed warm: the first run compiles into the shared
-  # disk cache (its wall time includes the toolchain and is deliberately
-  # NOT named time_mg_*, so the consolidator never sees it); the second
-  # dlopens the cached kernels and is the one the wall gate compares
-  # against the simd run above.  The warm run compiles synchronously so
-  # the cache is fully populated when it exits -- an async warm run can
-  # exit before the worker thread has landed every kernel.
-  run "warm_jit_${cls}" env SACPP_JIT_SYNC=1 SACPP_JIT_CACHE_DIR="$OUT/jit_cache" \
-    "$BUILD/examples/npb_mg" --class "$cls" --impl sac \
-    --stencil-mode planes --backend jit
-  run "time_mg_sac_${cls}_planes_jit" env SACPP_JIT_CACHE_DIR="$OUT/jit_cache" \
-    "$BUILD/examples/npb_mg" --class "$cls" --impl sac \
-    --stencil-mode planes --backend jit
   run "time_mg_f77_${cls}" "$BUILD/examples/npb_mg" --class "$cls" --impl f77
   run "time_mg_omp_${cls}" "$BUILD/examples/npb_mg" --class "$cls" --impl omp
 done
 run mg_consolidate python3 "$(dirname "$0")/mg_consolidate.py" \
   "$OUT/abl_stencil.json" "$OUT/abl_backend.json" \
   "$(dirname "$0")/mg_schema.json" \
-  "$OUT/BENCH_mg.json" 20 1.5 2.0 1.10 "$OUT"/time_mg_*.txt
+  "$OUT/BENCH_mg.json" 20 1.5 "$OUT"/time_mg_*.txt
 
 # Serving artifact: class-S throughput (serialized vs 8 concurrent clients)
 # plus the 2x-overload shedding/latency phase.  serve_bench gates itself on

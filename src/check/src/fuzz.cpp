@@ -342,16 +342,6 @@ bool rows_equal(const std::vector<double>& a, const std::vector<double>& b) {
   return true;
 }
 
-// The JIT engine joins the differential set only under SACPP_JIT_SYNC=1
-// (exported by the jit-backend CI job): in async mode its rows answer from
-// the fallback engine while compiles race in the background, so diffing it
-// would not exercise generated code — and the fuzzer's randomized key
-// stream would leave the compile queue churning long after the rounds end.
-bool fuzz_jit() {
-  const char* sync = std::getenv("SACPP_JIT_SYNC");
-  return sync != nullptr && sync[0] == '1' && sync[1] == '\0';
-}
-
 // Every engine present on this host, scalar first (the reference).
 std::vector<const sac::Backend*> fuzz_engines() {
   std::vector<const sac::Backend*> v{&sac::detail::scalar_backend(),
@@ -362,7 +352,6 @@ std::vector<const sac::Backend*> fuzz_engines() {
   if (sac::detail::avx512_backend() != nullptr) {
     v.push_back(sac::detail::avx512_backend());
   }
-  if (fuzz_jit()) v.push_back(&sac::detail::jit_backend());
   return v;
 }
 
@@ -463,11 +452,9 @@ void fuzz_expr_backends(const Expr& expr, BackendFuzzStats* stats) {
   const Shape shp = expr.shape();
   sac::Array<double> ref = sac::with_genarray<double>(
       shp, [&](const IndexVec& iv) { return expr(iv); });
-  std::vector<sac::BackendKind> kinds{sac::BackendKind::kScalar,
-                                      sac::BackendKind::kSimd,
-                                      sac::BackendKind::kSimdPortable};
-  if (fuzz_jit()) kinds.push_back(sac::BackendKind::kJit);
-  for (const sac::BackendKind kind : kinds) {
+  for (const sac::BackendKind kind :
+       {sac::BackendKind::kScalar, sac::BackendKind::kSimd,
+        sac::BackendKind::kSimdPortable}) {
     sac::SacConfig cfg = sac::config();
     cfg.backend = kind;
     sac::ScopedConfig guard(cfg);

@@ -102,7 +102,7 @@ std::string npb_report(const MgResult& result, const MgSpec& spec) {
       " Class               = %s\n"
       " Size                = %lld x %lld x %lld\n"
       " Iterations          = %d\n"
-      " Time in seconds     = %.2f\n"
+      " Time in seconds     = %.6f\n"
       " Mop/s total         = %.2f\n"
       " Operation type      = floating point\n"
       " Verification        = %s\n"

@@ -103,8 +103,6 @@ enum class Hist : int {
   kServeQueueNs,  // admission-to-dispatch time in queue
   kServeJobNs,    // dispatch-to-completion execution time
   kServeE2eNs,    // submit-to-completion end-to-end latency
-  // JIT backend (docs/jit.md): fed by the kernel cache per compile.
-  kJitCompileNs,  // source-to-dlopen latency of one JIT kernel
   // Socket transport (docs/net.md): one frame's send or blocking-recv time.
   kNetFrameNs,
   kCount,

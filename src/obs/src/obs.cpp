@@ -87,7 +87,6 @@ const char* hist_name(Hist h) noexcept {
     case Hist::kServeQueueNs: return "sacpp_serve_queue_wait_ns";
     case Hist::kServeJobNs: return "sacpp_serve_job_duration_ns";
     case Hist::kServeE2eNs: return "sacpp_serve_e2e_latency_ns";
-    case Hist::kJitCompileNs: return "sacpp_jit_compile_ns";
     case Hist::kNetFrameNs: return "sacpp_net_frame_duration_ns";
     case Hist::kCount: break;
   }
@@ -111,7 +110,6 @@ const char* hist_help(Hist h) noexcept {
     case Hist::kServeQueueNs: return "solve request time in admission queue";
     case Hist::kServeJobNs: return "solve job execution time";
     case Hist::kServeE2eNs: return "solve request submit-to-done latency";
-    case Hist::kJitCompileNs: return "JIT kernel source-to-dlopen latency";
     case Hist::kNetFrameNs: return "socket transport per-frame send/recv time";
     case Hist::kCount: break;
   }

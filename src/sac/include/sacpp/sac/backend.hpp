@@ -7,8 +7,9 @@
 // operators, and the L2/max-abs norm folds (with_loop.hpp).  A Backend is
 // one implementation of those row primitives; with_loop/stencil/expr code
 // dispatches through the interface instead of open-coding the loops, so a
-// vectorized (or later JIT/GPU) engine slots in without touching the array
-// system (docs/backends.md).
+// vectorized engine slots in without touching the array system
+// (docs/backends.md).  Four engines ship: scalar (the reference), portable
+// 4-wide, AVX2 and AVX-512.
 //
 // Semantics contract (what makes cross-backend differential testing work):
 //  * Element-parallel primitives — fills, plane sums, stencil combines,
@@ -20,9 +21,9 @@
 //    goes to lane `n % 4`) combined in a fixed left-to-right order after
 //    the row.  Results differ from kScalar only by rounding (tests pin
 //    1e-12), but are identical across every vectorized engine: portable,
-//    AVX2, AVX-512 and JIT all perform the same 4-lane arithmetic (none
-//    emits FMA; the wider engines keep their folds at 4 lanes), so kSimd
-//    and kJit folds are bit-identical across hosts.
+//    AVX2 and AVX-512 all perform the same 4-lane arithmetic (none emits
+//    FMA; the wider engines keep their folds at 4 lanes), so kSimd folds
+//    are bit-identical across hosts.
 //  * Tail handling is masked, never special-cased: a partial final vector
 //    processes only the live lanes (folds feed masked lanes the neutral
 //    element 0.0, exact for both sum-of-squares and max-abs).  No row
@@ -43,8 +44,8 @@ class Backend {
  public:
   virtual ~Backend() = default;
 
-  // Resolved implementation name ("scalar" | "avx2" | "avx512" | "portable"
-  // | "jit") — what the engine actually is, as opposed to
+  // Resolved implementation name ("scalar" | "avx2" | "avx512" |
+  // "portable") — what the engine actually is, as opposed to
   // backend_name(kind), which names the selection policy.
   virtual const char* name() const noexcept = 0;
 
@@ -58,10 +59,6 @@ class Backend {
   // True for the vectorized engines; drives stats().backend_simd_rows and
   // the row paths that only pay off when rows are vector-processed.
   virtual bool vectorized() const noexcept = 0;
-
-  // True for the runtime code-generation engine (docs/jit.md); lets callers
-  // and stats distinguish it from the fixed SIMD engines it falls back to.
-  virtual bool jit() const noexcept { return false; }
 
   // -- element-parallel row primitives (bit-identical across backends) ------
 
@@ -96,21 +93,16 @@ class Backend {
                               extent_t lo, extent_t hi) const = 0;
 
   // One fused kPlanes output row: the plane_sums over the eight neighbour
-  // rows of centre row `uc` followed by the per-point combine (or
-  // accumulate) into out[lo, hi) — the exact two-call sequence the planes
-  // stencil engine used to issue, exposed as a single primitive so an
-  // engine can fuse the two passes (the JIT backend generates one-pass row
-  // kernels for it, docs/jit.md).  The default composes this engine's own
-  // plane_sums and combine_row/accumulate_row through the caller's u1/u2
-  // scratch (each readable on [0, n)); overrides must stay bit-identical to
-  // that composition and may leave the scratch untouched.
-  virtual void stencil_row(const double* c, const double* uc,
-                           const double* im, const double* ip,
-                           const double* jm, const double* jp,
-                           const double* imm, const double* imp,
-                           const double* ipm, const double* ipp, double* u1,
-                           double* u2, double* out, extent_t lo, extent_t hi,
-                           extent_t n, bool accumulate) const;
+  // rows of centre row `uc` into the caller's u1/u2 scratch (each readable
+  // on [0, n)), followed by the per-point combine (or accumulate) into
+  // out[lo, hi).  Not an engine hook: it composes this engine's own
+  // primitives, so it is bit-identical across engines whenever they are.
+  void stencil_row(const double* c, const double* uc, const double* im,
+                   const double* ip, const double* jm, const double* jp,
+                   const double* imm, const double* imp, const double* ipm,
+                   const double* ipp, double* u1, double* u2, double* out,
+                   extent_t lo, extent_t hi, extent_t n,
+                   bool accumulate) const;
 
   // Fused ewise combines (the EwiseBinaryExpr row pass-through, expr.hpp):
   // for k in [lo, hi), out[k] = a[k] <op> out[k].
@@ -147,9 +139,8 @@ class Backend {
 // The engine a BackendKind resolves to on this host: kScalar and
 // kSimdPortable are fixed; kSimd picks the widest vector engine the CPU
 // supports (AVX-512, then AVX2, then the portable 4-wide engine — checked
-// once); kJit is the code-generating engine, which itself falls back to
-// the resolved kSimd engine per row until a kernel is compiled.  Always
-// returns a live singleton.
+// once); kJit is a retired name that resolves to the kSimd engine and
+// prints one diagnostic per process.  Always returns a live singleton.
 const Backend& backend_for(BackendKind kind);
 
 // Whether this process can run the AVX2 / AVX-512 engines (cached CPUID
@@ -165,16 +156,14 @@ inline const Backend& active_backend() noexcept {
 }
 
 namespace detail {
-// The singleton engines (backend_scalar.cpp / backend_simd.cpp /
-// backend_jit.cpp).  Exposed for the differential battery, which pins the
-// vector engines against each other bit-for-bit regardless of what kSimd
-// resolves to.
+// The singleton engines (backend_scalar.cpp / backend_simd.cpp).  Exposed
+// for the differential battery, which pins the vector engines against each
+// other bit-for-bit regardless of what kSimd resolves to.
 const Backend& scalar_backend() noexcept;
 const Backend& portable_backend() noexcept;
 // nullptr when the CPU lacks the instruction set.
 const Backend* avx2_backend() noexcept;
 const Backend* avx512_backend() noexcept;
-const Backend& jit_backend() noexcept;
 }  // namespace detail
 
 }  // namespace sacpp::sac

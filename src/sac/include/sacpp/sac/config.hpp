@@ -34,35 +34,32 @@ const char* stencil_mode_name(StencilMode mode);
 //  * kScalar — today's element-at-a-time row loops, refactored behind the
 //    Backend interface; the bit-exact reference every other backend is
 //    pinned against.
-//  * kSimd — the vectorized row engine: AVX2 when the CPU has it (runtime
-//    CPUID dispatch), otherwise a 4-wide portable fallback that performs the
-//    same lane-structured arithmetic, so kSimd results are bit-identical
-//    across hosts.
+//  * kSimd — the vectorized row engine: AVX-512 or AVX2 when the CPU has
+//    it (runtime CPUID dispatch), otherwise a 4-wide portable fallback that
+//    performs the same lane-structured arithmetic, so kSimd results are
+//    bit-identical across hosts.
 //  * kSimdPortable — the 4-wide portable fallback unconditionally, even on
 //    AVX2 hardware.  Exists so CI can exercise the no-AVX2 path everywhere
 //    and so the differential battery can pin AVX2 against it bit-for-bit.
-//  * kJit — the runtime code-generation engine (docs/jit.md): row work is
-//    captured as a small expression IR, lowered to C++ specialised on the
-//    (coefficients, row length) pair, compiled with the host toolchain into
-//    a shared object and dlopen'd.  Rows whose kernel is still compiling —
-//    or whose compile failed because the host has no usable compiler — run
-//    on the kSimd engine; results are bit-identical either way.
+//  * kJit — retired (the runtime code-generation engine was removed).  It
+//    keeps wire index 3 so older serve peers still decode, and the name
+//    "jit" still parses; both resolve to the kSimd engine with one
+//    diagnostic per process (backend_for).
 enum class BackendKind { kScalar, kSimd, kSimdPortable, kJit };
 
 // Canonical names used by SACPP_BACKEND / --backend / BENCH_mg:
-// "scalar" | "simd" | "simd-portable" | "jit".
+// "scalar" | "simd" | "simd-portable", plus the retired "jit".
 const char* backend_name(BackendKind kind);
 
 // The backend registry: every selectable kind, in wire-byte order (the
 // serve protocol encodes BackendKind as this index).  CLI help text and
 // error messages enumerate this instead of hard-coding names, so a new
-// engine appears everywhere at once.
+// engine appears everywhere at once.  The retired kJit is not listed.
 inline constexpr BackendKind kAllBackendKinds[] = {
-    BackendKind::kScalar, BackendKind::kSimd, BackendKind::kSimdPortable,
-    BackendKind::kJit};
+    BackendKind::kScalar, BackendKind::kSimd, BackendKind::kSimdPortable};
 
 // The canonical names of every registered backend joined with `sep`:
-// backend_names() == "scalar | simd | simd-portable | jit".
+// backend_names() == "scalar | simd | simd-portable".
 std::string backend_names(const char* sep = " | ");
 
 struct SacConfig {
@@ -195,8 +192,8 @@ SacConfig config_from_env();
 // (leaving `out` untouched) on anything else.
 bool parse_stencil_mode(const char* name, StencilMode* out);
 
-// Parse a backend name (any entry of backend_names()).  Returns false
-// (leaving `out` untouched) on anything else.
+// Parse a backend name (any entry of backend_names(), or the retired
+// "jit").  Returns false (leaving `out` untouched) on anything else.
 bool parse_backend(const char* name, BackendKind* out);
 
 // Toggle telemetry recording: sets both SacConfig::obs and the obs layer's

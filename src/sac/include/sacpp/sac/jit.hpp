@@ -1,90 +1,6 @@
 #pragma once
-// Runtime kernel cache of the JIT backend (docs/jit.md).
-//
-// backend_jit.cpp asks the cache for a compiled kernel per row call; the
-// cache answers from a lock-free in-memory table in ~15 ns.  On a miss it
-// enqueues the program for the background compile thread (or compiles
-// inline under SACPP_JIT_SYNC=1) and returns nullptr — the caller runs the
-// row on the fallback SIMD engine, and hot-swaps to the kernel on a later
-// call once the compile lands.  No row ever waits on the toolchain.
-//
-// Environment knobs (read dynamically, so tests can flip them):
-//   SACPP_JIT_CC        host compiler (default: c++ on PATH)
-//   SACPP_JIT_CACHE_DIR persistent .so cache; also the compile workspace
-//   SACPP_JIT_SYNC=1    compile on the calling thread (tests, benches)
-//
-// When a compile fails — no toolchain, unwritable workspace, dlopen error —
-// the engine prints one diagnostic, counts stats().jit_compile_fails, and
-// permanently degrades to the fallback engine: a slower process, never a
-// crash, and bit-identical results (backend.hpp contract).
-
-#include <atomic>
-#include <cstdint>
-
-#include "sacpp/sac/jit_ir.hpp"
-
-namespace sacpp::sac::jit {
-
-// Compiled kernel entry point.  One uniform signature for every pattern:
-//   in    input row pointers (pre-offset by the caller where documented)
-//   out   output row pointers
-//   dargs scalar double arguments (folds: dargs[0] = running accumulator)
-//   dres  scalar double results  (folds: dres[0] = folded accumulator)
-using KernelFn = void (*)(const double* const* in, double* const* out,
-                          const double* dargs, double* dres);
-
-// The in-memory cache key: the parameters that distinguish one generated
-// kernel from another, cheap enough to hash on every row call.  The full
-// RowProgram is only built (and hashed, for the disk name) on a miss.
-struct KernelKey {
-  std::uint8_t prim = 0;  // backend_jit.cpp's primitive tag
-  std::uint8_t accumulate = 0;
-  std::int64_t length = 0;
-  std::int64_t lo = 0, hi = 0;
-  std::int64_t stride = 1;
-  std::uint64_t c[4] = {0, 0, 0, 0};  // coefficient bit patterns
-
-  bool operator==(const KernelKey&) const = default;
-};
-
-// Ready kernel for `key`, or nullptr.  Never compiles, never blocks.
-KernelFn lookup(const KernelKey& key) noexcept;
-
-// Miss path: request a compile of `prog` (keyed by `key`) and return the
-// kernel if it is already ready — immediately under SACPP_JIT_SYNC=1 or a
-// disk-cache hit, on a later call otherwise.  `make` builds the program
-// lazily so the hot path never constructs IR.
-KernelFn request(const KernelKey& key, RowProgram (*make)(const KernelKey&));
-
-// Block until every queued compile has finished (bench warm-up, tests,
-// golden runs).  A no-op when the queue is empty or the engine is degraded.
-void drain();
-
-namespace detail {
-// Storage for epoch(); written only by jit_cache.cpp, read inline by the
-// per-row dispatch hot path.
-extern std::atomic<std::uint32_t> g_epoch;
-}  // namespace detail
-
-// Cache generation, bumped by testing::reset() and on engine degradation.
-// Callers that memoise raw KernelFn pointers (backend_jit.cpp keeps a
-// per-thread last-kernel memo so repeat rows skip the hash-and-probe) must
-// revalidate whenever this changes.  The pointers themselves stay callable
-// for the process lifetime — entries and dlopen handles are never freed —
-// so a stale memo is a staleness bug, not a use-after-free.
-inline std::uint32_t epoch() noexcept {
-  return detail::g_epoch.load(std::memory_order_acquire);
-}
-
-// True once the engine has proven it can compile (first kernel landed);
-// false after it has degraded.  Indeterminate (true) before first use.
-bool available() noexcept;
-
-namespace testing {
-// Drop every in-memory entry and re-arm a degraded engine (the entries and
-// dlopen handles leak by design — kernels may still be executing).  Lets
-// tests exercise the disk-hit and compiler-missing paths in one process.
-void reset();
-}  // namespace testing
-
-}  // namespace sacpp::sac::jit
+// Kept only so perfbench/src/layers.cpp, which predates the removal of the
+// runtime code-generation engine, still builds: BackendKind::kJit now
+// resolves to the kSimd engine (docs/backends.md), so there is nothing to
+// drain.
+namespace sacpp::sac::jit { inline void drain() noexcept {} }

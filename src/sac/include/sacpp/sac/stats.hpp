@@ -37,15 +37,6 @@ class RelaxedCounter {
   std::uint64_t fetch_add(std::uint64_t d) noexcept {
     return v_.fetch_add(d, std::memory_order_relaxed);
   }
-  // Approximate increment for per-row hot paths: a plain load+store pair
-  // instead of a locked read-modify-write (~3x cheaper on x86).  Concurrent
-  // writers may lose counts; callers must only use this where the tally is
-  // advisory (the jit dispatch counters), never where tests or control
-  // logic need every event.
-  void bump() noexcept {
-    v_.store(v_.load(std::memory_order_relaxed) + 1,
-             std::memory_order_relaxed);
-  }
   operator std::uint64_t() const noexcept { return load(); }  // NOLINT(*-explicit-*)
   std::uint64_t load() const noexcept {
     return v_.load(std::memory_order_relaxed);
@@ -78,20 +69,10 @@ struct RuntimeStats {
   // (docs/stencil.md): each counted row reused its u1/u2 partial sums across
   // the whole k inner loop.
   RelaxedCounter stencil_rows_reused;
-  // Rows dispatched through a vectorized (kSimd / kSimdPortable / kJit)
+  // Rows dispatched through a vectorized (kSimd / kSimdPortable)
   // backend's row primitives (docs/backends.md).  Zero under kScalar, so
   // tests and the obs export can tell which engine a run actually used.
   RelaxedCounter backend_simd_rows;
-  // The kJit engine (docs/jit.md).  kernel/fallback tally per row-primitive
-  // call: a call is a kernel call when the compiled kernel for its shape was
-  // ready (an in-memory cache hit), a fallback call when the row ran on the
-  // SIMD engine instead (kernel still compiling, row too short to pay for
-  // dispatch, or no usable host compiler).
-  RelaxedCounter jit_kernel_calls;
-  RelaxedCounter jit_compiles;       // kernels built by the host toolchain
-  RelaxedCounter jit_compile_fails;  // failed builds (engine degrades)
-  RelaxedCounter jit_disk_hits;      // kernels dlopen'd straight from disk
-  RelaxedCounter jit_fallback_calls;
 };
 
 // Mutable access to the process-global counters.

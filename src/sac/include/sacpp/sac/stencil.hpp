@@ -283,10 +283,9 @@ class StencilExpr {
   // One fused output row (i, j): the NPB u1/u2 plane sums — u1[k] the four
   // class-1 neighbours in the i/j directions, u2[k] the four class-2
   // diagonal rows — feeding the per-point combine, issued as the Backend's
-  // single stencil_row primitive so a fusing engine (the JIT) runs both
-  // passes in one kernel.  The nine source rows are pairwise disjoint
-  // segments of the argument and the scratch is a separate block
-  // (docs/backends.md, docs/jit.md).
+  // stencil_row, which runs both passes on whichever of the four engines
+  // is active.  The nine source rows are pairwise disjoint segments of the
+  // argument and the scratch is a separate block (docs/backends.md).
   void fused_row(PlaneScratch& st, extent_t i, extent_t j, double* out,
                  extent_t k_lo, extent_t k_hi, bool accumulate) const {
     const double* c = a_.data() + i * s0_ + j * s1_;

@@ -1,5 +1,7 @@
 #include "sacpp/sac/backend.hpp"
 
+#include <cstdio>
+
 namespace sacpp::sac {
 
 bool cpu_has_avx2() noexcept {
@@ -22,10 +24,6 @@ bool cpu_has_avx512() noexcept {
 #endif
 }
 
-// Default fused row: this engine's own two-pass sequence through the
-// caller's scratch — the exact calls the planes stencil engine issued
-// before the primitive existed, so composing engines are unchanged
-// bit-for-bit and only fusing engines (the JIT) override.
 void Backend::stencil_row(const double* c, const double* uc, const double* im,
                           const double* ip, const double* jm, const double* jp,
                           const double* imm, const double* imp,
@@ -46,14 +44,21 @@ const Backend& backend_for(BackendKind kind) {
       return detail::scalar_backend();
     case BackendKind::kSimdPortable:
       return detail::portable_backend();
+    case BackendKind::kJit: {
+      static const bool warned = [] {
+        std::fprintf(stderr,
+                     "sacpp: backend 'jit' is retired; running 'simd'\n");
+        return true;
+      }();
+      (void)warned;
+      [[fallthrough]];
+    }
     case BackendKind::kSimd: {
       const Backend* avx512 = detail::avx512_backend();
       if (avx512 != nullptr) return *avx512;
       const Backend* avx2 = detail::avx2_backend();
       return avx2 != nullptr ? *avx2 : detail::portable_backend();
     }
-    case BackendKind::kJit:
-      return detail::jit_backend();
   }
   return detail::scalar_backend();
 }

@@ -46,6 +46,7 @@ const char* backend_name(BackendKind kind) {
 
 // Parsing walks the registry rather than repeating the strings, so the
 // accepted set, the canonical names and the CLI help text cannot drift.
+// The retired "jit" also parses; backend_for maps it to kSimd.
 bool parse_backend(const char* name, BackendKind* out) {
   if (name == nullptr || out == nullptr) return false;
   for (BackendKind kind : kAllBackendKinds) {
@@ -53,6 +54,10 @@ bool parse_backend(const char* name, BackendKind* out) {
       *out = kind;
       return true;
     }
+  }
+  if (std::strcmp(name, backend_name(BackendKind::kJit)) == 0) {
+    *out = BackendKind::kJit;
+    return true;
   }
   return false;
 }
@@ -124,21 +129,6 @@ void collect_stats(obs::MetricSink& sink) {
   sink.counter("sacpp_backend_simd_rows_total",
                static_cast<double>(st.backend_simd_rows),
                "rows dispatched through a vectorized backend row primitive");
-  sink.counter("sacpp_jit_kernel_calls_total",
-               static_cast<double>(st.jit_kernel_calls),
-               "row primitive calls served by a compiled JIT kernel");
-  sink.counter("sacpp_jit_fallback_calls_total",
-               static_cast<double>(st.jit_fallback_calls),
-               "JIT row calls that ran on the fallback SIMD engine");
-  sink.counter("sacpp_jit_compiles_total",
-               static_cast<double>(st.jit_compiles),
-               "JIT kernels compiled by the host toolchain");
-  sink.counter("sacpp_jit_compile_fails_total",
-               static_cast<double>(st.jit_compile_fails),
-               "JIT kernel compiles that failed (engine degrades to simd)");
-  sink.counter("sacpp_jit_disk_hits_total",
-               static_cast<double>(st.jit_disk_hits),
-               "JIT kernels served from the SACPP_JIT_CACHE_DIR disk cache");
   // Which row engine the process-wide default resolves to right now: the
   // vector width (1 = scalar, 4 = simd), so dashboards can tell a scalar
   // serving fleet from a vectorized one at a glance.

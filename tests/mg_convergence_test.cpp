@@ -167,6 +167,17 @@ TEST(Verification, NpbReportContainsVerdict) {
   EXPECT_NE(report.find("Fortran-77"), std::string::npos);
 }
 
+// Microseconds: two decimals would quantise a 0.13 s class-W run by 7%.
+TEST(Verification, NpbReportTimesAtMicrosecondResolution) {
+  MgResult res;
+  res.variant = Variant::kFortran;
+  res.seconds = 0.1234567;
+  const std::string report = npb_report(res, MgSpec::for_class(MgClass::S));
+  EXPECT_NE(report.find(" Time in seconds     = 0.123457\n"),
+            std::string::npos)
+      << report;
+}
+
 TEST(Spec, ClassGeometry) {
   EXPECT_EQ(MgSpec::for_class(MgClass::S).nx, 32);
   EXPECT_EQ(MgSpec::for_class(MgClass::S).nit, 4);

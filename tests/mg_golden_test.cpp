@@ -16,12 +16,9 @@
 
 #include <cmath>
 
-#include <cstdlib>
-
 #include "sacpp/mg/driver.hpp"
 #include "sacpp/mg/mg_mpi.hpp"
 #include "sacpp/sac/config.hpp"
-#include "sacpp/sac/jit.hpp"
 #include "sacpp/sac/stats.hpp"
 
 namespace sacpp::mg {
@@ -280,65 +277,6 @@ TEST(SimdGoldenNorm, PoolOnOffBitIdenticalUnderSimd) {
                                            sac::StencilMode::kPlanes,
                                            /*pool=*/true);
   EXPECT_EQ(on, off);
-}
-
-// kJit goldens (docs/jit.md).  The JIT engine is bit-identical to the
-// resolved kSimd engine for every element-parallel primitive and keeps the
-// fixed 4-lane fold contract, so a --backend jit run must reproduce the
-// kSimd norm EXACTLY — on the warm path (SACPP_JIT_SYNC=1: every row runs a
-// generated kernel) and on the cold path (async compiles still in flight,
-// rows served by the simd fallback mid-swap).  Anything else means a
-// generated kernel reassociated, contracted into FMA, or mis-indexed.
-TEST(JitGoldenNorm, WarmRunsMatchSimdBitForBit) {
-  for (const sac::StencilMode mode :
-       {sac::StencilMode::kGrouped, sac::StencilMode::kPlanes}) {
-    const double simd = run_backend_final_norm(
-        Variant::kSac, MgClass::S, sac::BackendKind::kSimd, mode);
-    EXPECT_NEAR(simd / kGolden[0].norm, 1.0, kTol);
-
-    ::setenv("SACPP_JIT_SYNC", "1", 1);
-    sac::jit::testing::reset();
-    const double warm = run_backend_final_norm(
-        Variant::kSac, MgClass::S, sac::BackendKind::kJit, mode);
-    ::unsetenv("SACPP_JIT_SYNC");
-    EXPECT_EQ(warm, simd)
-        << "jit (warm) vs simd diverged, mode "
-        << sac::stencil_mode_name(mode);
-  }
-}
-
-TEST(JitGoldenNorm, ColdAsyncRunsMatchSimdBitForBit) {
-  // No sync flag: the first rows run on the fallback while the compile
-  // thread races, and kernels hot-swap in mid-run — still bit-exact.
-  const double simd =
-      run_backend_final_norm(Variant::kSac, MgClass::S,
-                             sac::BackendKind::kSimd,
-                             sac::StencilMode::kPlanes);
-  sac::jit::testing::reset();
-  const double cold =
-      run_backend_final_norm(Variant::kSac, MgClass::S,
-                             sac::BackendKind::kJit,
-                             sac::StencilMode::kPlanes);
-  sac::jit::drain();  // don't leak queued compiles into later tests
-  EXPECT_EQ(cold, simd) << "jit (cold/async) vs simd diverged";
-}
-
-TEST(JitGoldenNorm, ClassWMatchesPinnedPlanesConstant) {
-  ::setenv("SACPP_JIT_SYNC", "1", 1);
-  sac::jit::testing::reset();
-  const double jit =
-      run_backend_final_norm(Variant::kSac, MgClass::W,
-                             sac::BackendKind::kJit,
-                             sac::StencilMode::kPlanes);
-  ::unsetenv("SACPP_JIT_SYNC");
-  // Same constant as the kSimd planes row above: kJit is pinnable because
-  // it is bitwise simd, which is bitwise avx2/avx512/portable.
-  EXPECT_NEAR(jit / 2.77739287704745898e-18, 1.0, kTol);
-  const double simd =
-      run_backend_final_norm(Variant::kSac, MgClass::W,
-                             sac::BackendKind::kSimd,
-                             sac::StencilMode::kPlanes);
-  EXPECT_EQ(jit, simd);
 }
 
 TEST(GoldenNormMpi, ClassSMatchesWithPoolOffAndOn) {

@@ -3,9 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "sacpp/mg/driver.hpp"
 #include "sacpp/mg/mg_ref.hpp"
 #include "sacpp/mg/profiler.hpp"
+#include "sacpp/obs/obs.hpp"
+#include "sacpp/sac/config.hpp"
 
 namespace sacpp::mg {
 namespace {
@@ -77,25 +83,47 @@ TEST_F(ProfilerFixture, MgRunVisitsEveryLevelTheRightNumberOfTimes) {
 }
 
 TEST_F(ProfilerFixture, SacVCycleExcludesRecursionFromEachLevel) {
+  // Exclusive accounting, checked without comparing durations: every level
+  // above the coarsest opens one scope on the way down and one on the way
+  // up, so one V-cycle visits it twice; and because the recursive call runs
+  // between those scopes, no level span overlaps another.  A scope held
+  // across the recursion either merges the two visits or nests the coarser
+  // spans inside the finer one, and fails one of the two checks.
   LevelProfiler::instance().enable(true);
+  const bool obs_was_on = sac::config().obs;
+  sac::set_obs(true);
+  obs::reset();
   const MgSpec spec = MgSpec::custom(16, 1);
   RunOptions opts;
   opts.warmup = false;
   opts.record_norms = false;
   (void)run_benchmark(Variant::kSac, spec, opts);
+  sac::set_obs(obs_was_on);
+
   const auto entries = LevelProfiler::instance().entries();
-  ASSERT_FALSE(entries.empty());
-  // exclusive accounting: the finest level's time must NOT contain the
-  // whole run (it would if the recursive call were inside its scope);
-  // with exclusive scopes the finest level is large but not everything.
-  double total = 0.0, finest = 0.0;
+  ASSERT_EQ(entries.size(), static_cast<std::size_t>(spec.levels()));
+  std::uint64_t visits = 0;
   for (const auto& e : entries) {
-    total += e.seconds;
-    if (e.level == spec.levels()) finest = e.seconds;
+    EXPECT_EQ(e.count, e.level == 1 ? 1u : 2u) << "level " << e.level;
+    visits += e.count;
   }
-  EXPECT_GT(finest, 0.0);
-  EXPECT_LT(finest, total);
-  EXPECT_GT(finest / total, 0.5);  // but it still dominates (64x the work)
+
+  std::vector<obs::SpanRecord> spans;
+  for (const obs::ThreadSpans& t : obs::snapshot_spans()) {
+    for (const obs::SpanRecord& r : t.spans) {
+      if (r.kind == obs::SpanKind::kLevel) spans.push_back(r);
+    }
+  }
+  ASSERT_EQ(spans.size(), visits);
+  std::sort(spans.begin(), spans.end(),
+            [](const obs::SpanRecord& x, const obs::SpanRecord& y) {
+              return x.start_ns < y.start_ns;
+            });
+  for (std::size_t i = 1; i < spans.size(); ++i) {
+    EXPECT_LE(spans[i - 1].start_ns + spans[i - 1].dur_ns, spans[i].start_ns)
+        << "level " << spans[i - 1].arg << " span contains level "
+        << spans[i].arg;
+  }
 }
 
 }  // namespace

@@ -3,24 +3,19 @@
 //
 // The contract under test: every element-parallel primitive (fill, copy,
 // plane sums, stencil combines, ewise merges, gather, scatter) is bitwise
-// identical across kScalar, kSimd, kSimdPortable and kJit; the two folds
+// identical across kScalar, kSimd and kSimdPortable; the two folds
 // (sum-of-squares, max-abs) may reassociate but agree to 1e-12 relative —
-// and the AVX-512, AVX2, portable and JIT engines agree with EACH OTHER
-// bit for bit, so kSimd/kJit results are host-independent and pinnable.
+// and the AVX-512, AVX2 and portable engines agree with EACH OTHER bit for
+// bit, so kSimd results are host-independent and pinnable.
 //
 // Row lengths are drawn adversarially around the vector widths
 // (1, 3, 4, 5, w-1, w, w+1, primes) with random sub-ranges including empty
 // ones, hunting masked-tail and degenerate-extent bugs.
-//
-// The kJit battery runs with SACPP_JIT_SYNC=1 so every row call sees its
-// compiled kernel immediately; lengths come from a small pool so the suite
-// compiles a bounded kernel set while the row data still varies per round.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <random>
@@ -28,7 +23,6 @@
 #include <vector>
 
 #include "sacpp/sac/backend.hpp"
-#include "sacpp/sac/jit.hpp"
 #include "sacpp/sac/periodic_stencil.hpp"
 #include "sacpp/sac/sac.hpp"
 #include "sacpp/sac/stats.hpp"
@@ -111,13 +105,24 @@ TEST(BackendRegistry, KindsResolveAndReportLanes) {
     EXPECT_STREQ(simd.name(), "portable");
     EXPECT_EQ(simd.lanes(), 4u);
   }
-  // kJit wraps the resolved kSimd engine as its fallback.
-  const Backend& jit = backend_for(BackendKind::kJit);
-  EXPECT_STREQ(jit.name(), "jit");
-  EXPECT_TRUE(jit.vectorized());
-  EXPECT_TRUE(jit.jit());
-  EXPECT_FALSE(simd.jit());
-  EXPECT_EQ(jit.lanes(), simd.lanes());
+}
+
+// The retired kJit resolves to the kSimd engine itself, and says so on
+// stderr exactly once per process.  The threadsafe style re-executes the
+// binary for the child, so no earlier call in this process can have spent
+// the one-shot diagnostic.
+TEST(BackendRegistryDeathTest, RetiredJitRunsSimdWithOneDiagnostic) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const Backend* first = &backend_for(BackendKind::kJit);
+        const Backend* second = &backend_for(BackendKind::kJit);
+        const bool simd = first == second &&
+                          first == &backend_for(BackendKind::kSimd);
+        std::exit(simd ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0),
+      "^sacpp: backend 'jit' is retired; running 'simd'\n$");
 }
 
 TEST(BackendRegistry, KindNamesRoundTripThroughParser) {
@@ -128,8 +133,12 @@ TEST(BackendRegistry, KindNamesRoundTripThroughParser) {
   }
   BackendKind parsed{};
   EXPECT_FALSE(parse_backend("sse9", &parsed));
+  // The retired name still parses (older scripts and SACPP_BACKEND values)
+  // but is no longer offered.
+  ASSERT_TRUE(parse_backend("jit", &parsed));
+  EXPECT_EQ(parsed, BackendKind::kJit);
   // The registry-driven name list is what --backend help/errors print.
-  EXPECT_EQ(backend_names(), "scalar | simd | simd-portable | jit");
+  EXPECT_EQ(backend_names(), "scalar | simd | simd-portable");
 }
 
 // -- per-primitive differential sweeps --------------------------------------
@@ -455,284 +464,6 @@ TEST(BackendFolds, WholeArrayFoldsAgreeAndSimdEnginesMatchExactly) {
   const double ma_scalar = run_ma(BackendKind::kScalar);
   EXPECT_EQ(run_ma(BackendKind::kSimd), ma_scalar);
   EXPECT_EQ(run_ma(BackendKind::kSimdPortable), ma_scalar);
-}
-
-// -- kJit differential battery ----------------------------------------------
-//
-// Sync-compile battery: SACPP_JIT_SYNC=1 makes jit::request compile on the
-// calling thread, so the first row call already runs generated code.  Row
-// lengths come from a bounded pool (all >= the dispatch cutoff) so the
-// suite compiles a fixed set of kernels while the data varies per round.
-
-constexpr extent_t kJitLengths[] = {16, 17, 33, 64, 128};
-constexpr int kJitRounds = 8;  // data rounds per length; kernels compile once
-
-class BackendJit : public ::testing::Test {
- protected:
-  void SetUp() override {
-    ::setenv("SACPP_JIT_SYNC", "1", 1);
-    ::unsetenv("SACPP_JIT_CC");
-    ::unsetenv("SACPP_JIT_CACHE_DIR");
-    jit::testing::reset();
-    // Probe: one eligible row proves the host toolchain works; without one
-    // the engine degrades (by design) and this battery has nothing to test.
-    double a[16] = {0}, o[16] = {0};
-    backend_for(BackendKind::kJit).add_into_row(a, o, 0, 16);
-    if (!jit::available()) {
-      GTEST_SKIP() << "host toolchain unavailable; jit degraded to simd";
-    }
-  }
-  void TearDown() override {
-    ::unsetenv("SACPP_JIT_SYNC");
-    ::unsetenv("SACPP_JIT_CACHE_DIR");
-    jit::testing::reset();
-  }
-};
-
-TEST_F(BackendJit, ElementParallelRowsBitIdenticalToScalar) {
-  std::mt19937_64 rng(301);
-  const Backend& sc = detail::scalar_backend();
-  const Backend& be = backend_for(BackendKind::kJit);
-  reset_stats();
-  for (const extent_t n : kJitLengths) {
-    for (int round = 0; round < kJitRounds; ++round) {
-      const auto uc = random_row(rng, static_cast<std::size_t>(n));
-      const auto u1 = random_row(rng, static_cast<std::size_t>(n));
-      const auto u2 = random_row(rng, static_cast<std::size_t>(n));
-      const extent_t lo = 1, hi = n - 1;
-
-      std::vector<double> o_sc(static_cast<std::size_t>(n), -99.0);
-      std::vector<double> o_jit = o_sc;
-      sc.combine_row(kTestCoeffs.c.data(), uc.data(), u1.data(), u2.data(),
-                     o_sc.data(), lo, hi);
-      be.combine_row(kTestCoeffs.c.data(), uc.data(), u1.data(), u2.data(),
-                     o_jit.data(), lo, hi);
-      ASSERT_EQ(o_jit, o_sc) << "combine n=" << n;
-
-      std::vector<double> a_sc(static_cast<std::size_t>(n), 0.5);
-      std::vector<double> a_jit = a_sc;
-      sc.accumulate_row(kTestCoeffs.c.data(), uc.data(), u1.data(),
-                        u2.data(), a_sc.data(), lo, hi);
-      be.accumulate_row(kTestCoeffs.c.data(), uc.data(), u1.data(),
-                        u2.data(), a_jit.data(), lo, hi);
-      ASSERT_EQ(a_jit, a_sc) << "accumulate n=" << n;
-
-      std::vector<std::vector<double>> in;
-      for (int r = 0; r < 8; ++r) {
-        in.push_back(random_row(rng, static_cast<std::size_t>(n)));
-      }
-      std::vector<double> p1_sc(static_cast<std::size_t>(n)),
-          p2_sc(static_cast<std::size_t>(n));
-      auto p1_jit = p1_sc, p2_jit = p2_sc;
-      sc.plane_sums(in[0].data(), in[1].data(), in[2].data(), in[3].data(),
-                    in[4].data(), in[5].data(), in[6].data(), in[7].data(),
-                    p1_sc.data(), p2_sc.data(), n);
-      be.plane_sums(in[0].data(), in[1].data(), in[2].data(), in[3].data(),
-                    in[4].data(), in[5].data(), in[6].data(), in[7].data(),
-                    p1_jit.data(), p2_jit.data(), n);
-      ASSERT_EQ(p1_jit, p1_sc) << "plane_sums n=" << n;
-      ASSERT_EQ(p2_jit, p2_sc) << "plane_sums n=" << n;
-
-      for (const bool accumulate : {false, true}) {
-        std::vector<double> s_sc(static_cast<std::size_t>(n), 0.25);
-        std::vector<double> s_jit = s_sc;
-        std::vector<double> w1(static_cast<std::size_t>(n)),
-            w2(static_cast<std::size_t>(n));
-        sc.stencil_row(kTestCoeffs.c.data(), uc.data(), in[0].data(),
-                       in[1].data(), in[2].data(), in[3].data(),
-                       in[4].data(), in[5].data(), in[6].data(),
-                       in[7].data(), w1.data(), w2.data(), s_sc.data(), lo,
-                       hi, n, accumulate);
-        be.stencil_row(kTestCoeffs.c.data(), uc.data(), in[0].data(),
-                       in[1].data(), in[2].data(), in[3].data(),
-                       in[4].data(), in[5].data(), in[6].data(),
-                       in[7].data(), w1.data(), w2.data(), s_jit.data(), lo,
-                       hi, n, accumulate);
-        ASSERT_EQ(s_jit, s_sc) << "stencil_row acc=" << accumulate
-                               << " n=" << n;
-      }
-
-      const auto av = random_row(rng, static_cast<std::size_t>(n));
-      const auto base = random_row(rng, static_cast<std::size_t>(n));
-      for (int op = 0; op < 3; ++op) {
-        std::vector<double> e_sc = base, e_jit = base;
-        if (op == 0) {
-          sc.add_into_row(av.data(), e_sc.data(), 0, n);
-          be.add_into_row(av.data(), e_jit.data(), 0, n);
-        } else if (op == 1) {
-          sc.sub_into_row(av.data(), e_sc.data(), 0, n);
-          be.sub_into_row(av.data(), e_jit.data(), 0, n);
-        } else {
-          sc.mul_into_row(av.data(), e_sc.data(), 0, n);
-          be.mul_into_row(av.data(), e_jit.data(), 0, n);
-        }
-        ASSERT_EQ(e_jit, e_sc) << "ewise op=" << op << " n=" << n;
-      }
-
-      const extent_t stride = 3;
-      const auto src = random_row(rng, static_cast<std::size_t>(n * stride));
-      std::vector<double> g_sc(static_cast<std::size_t>(n), -99.0);
-      std::vector<double> g_jit = g_sc;
-      sc.gather_row(g_sc.data(), src.data(), stride, n);
-      be.gather_row(g_jit.data(), src.data(), stride, n);
-      ASSERT_EQ(g_jit, g_sc) << "gather n=" << n;
-      std::vector<double> t_sc(static_cast<std::size_t>(n * stride), -99.0);
-      std::vector<double> t_jit = t_sc;
-      sc.scatter_row(t_sc.data(), stride, src.data(), n);
-      be.scatter_row(t_jit.data(), stride, src.data(), n);
-      ASSERT_EQ(t_jit, t_sc) << "scatter n=" << n;
-    }
-  }
-  // The battery must have exercised generated code, not just the fallback.
-  // (Some combine calls DO fall back: their sub-range n-2 sits below the
-  // dispatch cutoff for the two shortest pool lengths — by design.)
-  EXPECT_GT(stats().jit_kernel_calls, 0u);
-}
-
-TEST_F(BackendJit, StencilRowElidesZeroCoeffTermsExactly) {
-  // The MG operators carry one exactly-zero coefficient each (resid c1,
-  // psinv c3); codegen drops those terms.  On the nonzero data below the
-  // elision is exact, so outputs stay bitwise equal to scalar.
-  const double kResid[4] = {-8.0 / 3.0, 0.0, 1.0 / 6.0, 1.0 / 12.0};
-  const double kPsinv[4] = {-3.0 / 8.0, 1.0 / 32.0, -1.0 / 64.0, 0.0};
-  std::mt19937_64 rng(303);
-  const Backend& sc = detail::scalar_backend();
-  const Backend& be = backend_for(BackendKind::kJit);
-  const extent_t n = 67, lo = 1, hi = n - 1;
-  const auto uc = random_row(rng, static_cast<std::size_t>(n));
-  std::vector<std::vector<double>> in;
-  for (int r = 0; r < 8; ++r) {
-    in.push_back(random_row(rng, static_cast<std::size_t>(n)));
-  }
-  std::vector<double> w1(static_cast<std::size_t>(n)),
-      w2(static_cast<std::size_t>(n));
-  for (const double* c : {kResid, kPsinv}) {
-    for (const bool accumulate : {false, true}) {
-      std::vector<double> o_sc(static_cast<std::size_t>(n), 0.125);
-      std::vector<double> o_jit = o_sc;
-      sc.stencil_row(c, uc.data(), in[0].data(), in[1].data(), in[2].data(),
-                     in[3].data(), in[4].data(), in[5].data(), in[6].data(),
-                     in[7].data(), w1.data(), w2.data(), o_sc.data(), lo, hi,
-                     n, accumulate);
-      be.stencil_row(c, uc.data(), in[0].data(), in[1].data(), in[2].data(),
-                     in[3].data(), in[4].data(), in[5].data(), in[6].data(),
-                     in[7].data(), w1.data(), w2.data(), o_jit.data(), lo,
-                     hi, n, accumulate);
-      ASSERT_EQ(o_jit, o_sc) << (c == kResid ? "resid" : "psinv")
-                             << " acc=" << accumulate;
-    }
-  }
-}
-
-TEST_F(BackendJit, FoldsMatchPortableExactlyAndScalarToTol) {
-  std::mt19937_64 rng(305);
-  const Backend& sc = detail::scalar_backend();
-  const Backend& po = detail::portable_backend();
-  const Backend& be = backend_for(BackendKind::kJit);
-  for (const extent_t n : kJitLengths) {
-    for (int round = 0; round < kJitRounds; ++round) {
-      const auto p = random_row(rng, static_cast<std::size_t>(n));
-      const double acc0 = round * 0.013;
-      const double ss = be.sum_sq_row(acc0, p.data(), 0, n);
-      // Generated folds replicate the portable 4-lane shape bit for bit.
-      ASSERT_EQ(ss, po.sum_sq_row(acc0, p.data(), 0, n)) << "n=" << n;
-      const double ss_sc = sc.sum_sq_row(acc0, p.data(), 0, n);
-      ASSERT_NEAR(ss, ss_sc, 1e-12 * std::max(1.0, std::fabs(ss_sc)))
-          << "n=" << n;
-      ASSERT_EQ(be.max_abs_row(acc0, p.data(), 0, n),
-                sc.max_abs_row(acc0, p.data(), 0, n))
-          << "n=" << n;
-    }
-  }
-}
-
-TEST_F(BackendJit, ShortRowsFallBackToSimdAndTally) {
-  const Backend& be = backend_for(BackendKind::kJit);
-  const Backend& sc = detail::scalar_backend();
-  std::mt19937_64 rng(307);
-  const extent_t n = 8;  // below the dispatch cutoff
-  const auto a = random_row(rng, static_cast<std::size_t>(n));
-  std::vector<double> o_sc = a, o_jit = a;
-  reset_stats();
-  sc.add_into_row(a.data(), o_sc.data(), 0, n);
-  be.add_into_row(a.data(), o_jit.data(), 0, n);
-  EXPECT_EQ(o_jit, o_sc);
-  EXPECT_EQ(stats().jit_kernel_calls, 0u);
-  EXPECT_GT(stats().jit_fallback_calls, 0u);
-}
-
-TEST_F(BackendJit, DiskCachePersistsAndRehydratesWithoutRecompiling) {
-  char tmpl[] = "/tmp/sacpp_jit_cache_XXXXXX";
-  char* dir = ::mkdtemp(tmpl);
-  ASSERT_NE(dir, nullptr);
-  ::setenv("SACPP_JIT_CACHE_DIR", dir, 1);
-  jit::testing::reset();
-
-  std::mt19937_64 rng(309);
-  const extent_t n = 64;
-  const auto a = random_row(rng, static_cast<std::size_t>(n));
-  std::vector<double> o(static_cast<std::size_t>(n), 1.0);
-  const Backend& be = backend_for(BackendKind::kJit);
-
-  reset_stats();
-  be.add_into_row(a.data(), o.data(), 0, n);
-  EXPECT_GT(stats().jit_compiles, 0u);
-  EXPECT_GT(stats().jit_kernel_calls, 0u);
-
-  // The kernel must have landed on disk under its deterministic name.
-  std::string found;
-  {
-    const std::string cmd =
-        std::string("ls ") + dir + "/sacpp_jit_v1_*.so 2>/dev/null";
-    FILE* ls = ::popen(cmd.c_str(), "r");
-    ASSERT_NE(ls, nullptr);
-    char buf[512];
-    if (std::fgets(buf, sizeof buf, ls) != nullptr) found = buf;
-    ::pclose(ls);
-  }
-  EXPECT_FALSE(found.empty()) << "no cached .so in " << dir;
-
-  // Drop the in-memory table: the same key must rehydrate from disk —
-  // counted as a disk hit, with no fresh compile.
-  jit::testing::reset();
-  reset_stats();
-  be.add_into_row(a.data(), o.data(), 0, n);
-  EXPECT_EQ(stats().jit_compiles, 0u);
-  EXPECT_GT(stats().jit_disk_hits, 0u);
-  EXPECT_GT(stats().jit_kernel_calls, 0u);
-}
-
-TEST_F(BackendJit, MissingCompilerDegradesToSimdWithIdenticalResults) {
-  ::setenv("SACPP_JIT_CC", "/nonexistent/compiler", 1);
-  jit::testing::reset();
-
-  std::mt19937_64 rng(311);
-  const extent_t n = 64;
-  const auto a = random_row(rng, static_cast<std::size_t>(n));
-  const auto base = random_row(rng, static_cast<std::size_t>(n));
-  std::vector<double> o_jit = base, o_sc = base;
-  const Backend& be = backend_for(BackendKind::kJit);
-  const Backend& sc = detail::scalar_backend();
-
-  reset_stats();
-  be.add_into_row(a.data(), o_jit.data(), 0, n);
-  sc.add_into_row(a.data(), o_sc.data(), 0, n);
-  EXPECT_EQ(o_jit, o_sc);  // fallback keeps the bitwise contract
-  EXPECT_GT(stats().jit_compile_fails, 0u);
-  EXPECT_EQ(stats().jit_kernel_calls, 0u);
-  EXPECT_GT(stats().jit_fallback_calls, 0u);
-  EXPECT_FALSE(jit::available());
-
-  // Degradation is per-process state, re-armed by reset: with the override
-  // gone the same key compiles and serves.
-  ::unsetenv("SACPP_JIT_CC");
-  jit::testing::reset();
-  reset_stats();
-  std::vector<double> o2 = base;
-  be.add_into_row(a.data(), o2.data(), 0, n);
-  EXPECT_EQ(o2, o_sc);
-  EXPECT_GT(stats().jit_kernel_calls, 0u);
-  EXPECT_TRUE(jit::available());
 }
 
 TEST(BackendStats, SimdRowTallyCountsVectorizedRowsOnly) {

@@ -9,6 +9,8 @@
 
 #include "sacpp/common/error.hpp"
 #include "sacpp/msg/msg.hpp"
+#include "sacpp/sac/backend.hpp"
+#include "sacpp/serve/server.hpp"
 #include "sacpp/serve/wire.hpp"
 
 using namespace sacpp;
@@ -219,6 +221,40 @@ TEST(ServeWireVersions, V2RequestDecodesWithTraceFieldsDefaulted) {
   EXPECT_EQ(back.trace_id, 0u);
   EXPECT_EQ(back.trace_parent, 0u);
   EXPECT_EQ(back.trace_flags, 0u);
+}
+
+// The retired jit engine keeps backend byte 3 on the wire, so requests from
+// v2 and v3 peers that still name it decode; the job runs on the simd engine
+// and its norm matches a kSimd solve bit for bit.
+TEST(ServeWireVersions, RetiredJitBackendByteSolvesAsSimd) {
+  SolveRequest simd;
+  simd.id = 1;
+  simd.cls = mg::MgClass::S;
+  simd.variant = mg::Variant::kSac;
+  simd.stencil_mode = sac::StencilMode::kPlanes;
+  simd.backend = sac::BackendKind::kSimd;
+  SolveRequest jit = simd;
+  jit.id = 2;
+  jit.backend = sac::BackendKind::kJit;
+  const std::vector<std::uint8_t> v3 = encode_request(jit);
+  ASSERT_EQ(v3[21], 3);  // backend byte, see RejectsOutOfRangeBackend
+
+  ServeConfig cfg;
+  cfg.total_cores = 1;
+  cfg.executors = 1;
+  SolverService service(cfg);
+  const SolveResult want = service.submit(simd).get();
+  ASSERT_EQ(want.status, SolveStatus::kOk) << want.error;
+  for (const auto& frame : {v3, downgrade_to_v2(v3, 17)}) {
+    SolveRequest back;
+    std::string error;
+    ASSERT_TRUE(decode_request(frame, &back, &error)) << error;
+    EXPECT_EQ(&sac::backend_for(back.backend),
+              &sac::backend_for(sac::BackendKind::kSimd));
+    const SolveResult got = service.submit(back).get();
+    ASSERT_EQ(got.status, SolveStatus::kOk) << got.error;
+    EXPECT_EQ(got.final_norm, want.final_norm) << "version " << int{frame[8]};
+  }
 }
 
 TEST(ServeWireVersions, V2ResultDecodesWithTraceIdDefaulted) {
