@@ -17,7 +17,7 @@ using namespace sacpp::mg;
 namespace {
 
 MgResult run_with_folding(const MgSpec& spec, bool folding) {
-  sac::SacConfig cfg = sac::config();
+  sac::SacConfig cfg = bench::paper_config();
   cfg.folding = folding;
   sac::ScopedConfig guard(cfg);
   RunOptions opts;
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
       }));
   Table micro({"kernel", "mode", "time [ms]"});
   for (bool folding : {false, true}) {
-    sac::SacConfig cfg = sac::config();
+    sac::SacConfig cfg = bench::paper_config();
     cfg.folding = folding;
     sac::ScopedConfig guard(cfg);
     Timer t;

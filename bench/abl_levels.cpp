@@ -50,7 +50,11 @@ int main(int argc, char** argv) {
       RunOptions opts;
       opts.record_norms = false;
       opts.warmup = false;
-      (void)run_benchmark(v, spec, opts);
+      {
+        // The model prices the paper configuration's schedule.
+        const sac::ScopedConfig paper(bench::paper_config());
+        (void)run_benchmark(v, spec, opts);
+      }
       LevelProfiler::instance().enable(false);
 
       const auto measured = LevelProfiler::instance().entries();

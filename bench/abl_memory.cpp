@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
              "copies-on-write", "bytes allocated [MB]"});
     for (const MgSpec& spec : bench::parse_classes(cli.get("classes"))) {
       for (bool reuse : {true, false}) {
-        sac::SacConfig cfg = sac::config();
+        sac::SacConfig cfg = bench::paper_config();
         cfg.reuse = reuse;
         sac::ScopedConfig guard(cfg);
         sac::reset_stats();

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
       const int reps = n <= 18 ? 200000 : (n <= 34 ? 20000 : 2000);
       double ns[2] = {0.0, 0.0};
       for (bool pool : {false, true}) {
-        sac::SacConfig cfg = sac::config();
+        sac::SacConfig cfg = bench::paper_config();
         cfg.pool = pool;
         sac::ScopedConfig guard(cfg);
         time_alloc_pairs(n, reps / 10 + 1);  // warm caches / pool
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
              "hit rate"});
     for (const MgSpec& spec : bench::parse_classes(cli.get("classes"))) {
       for (bool pool : {false, true}) {
-        sac::SacConfig cfg = sac::config();
+        sac::SacConfig cfg = bench::paper_config();
         cfg.pool = pool;
         sac::ScopedConfig guard(cfg);
         sac::reset_stats();

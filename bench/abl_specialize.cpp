@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench_common.hpp"
 #include "sacpp/sac/sac.hpp"
 
 namespace {
@@ -22,7 +23,7 @@ const sac::StencilCoeffs kS{{-3.0 / 8.0, 1.0 / 32.0, -1.0 / 64.0, 0.0}};
 
 void with_specialize(bool on, benchmark::State& state,
                      const std::function<void()>& body) {
-  sac::SacConfig cfg = sac::config();
+  sac::SacConfig cfg = bench::paper_config();
   cfg.specialize = on;
   sac::ScopedConfig guard(cfg);
   for (auto _ : state) body();

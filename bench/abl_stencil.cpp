@@ -13,14 +13,17 @@
 //
 // One google-benchmark timing per rung and level size (the MG ladder 10,
 // 18, 34, 66, 130).  kPlanes runs with the production small-grid cutover,
-// so sizes below it report the grouped fallback — exactly what the engine
-// does at the bottom of the V-cycle.  bench/run_all.sh gates the
+// so sizes below it (interior extent under 18) report the grouped fallback
+// — exactly what the engine does at the bottom of the V-cycle.  Every rung
+// runs on the scalar row engine (bench::paper_config), so the ladder
+// compares the stencil forms alone.  bench/run_all.sh gates the
 // planes-vs-grouped improvement at the class-W-sized grid (n = 66).
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "bench_common.hpp"
 #include "sacpp/mg/mg_ref.hpp"
 #include "sacpp/mg/problem.hpp"
 #include "sacpp/sac/sac.hpp"
@@ -43,6 +46,7 @@ const sac::StencilCoeffs kA{{-8.0 / 3.0, 0.0, 1.0 / 6.0, 1.0 / 12.0}};
 void BM_StencilNaive(benchmark::State& state) {
   const extent_t n = state.range(0);
   auto a = input_grid(n);
+  const sac::ScopedConfig scalar(bench::paper_config());
   for (auto _ : state) {
     auto r = sac::relax_kernel(a, kA, sac::StencilMode::kNaive);
     benchmark::DoNotOptimize(r.data());
@@ -53,6 +57,7 @@ void BM_StencilNaive(benchmark::State& state) {
 void BM_StencilGrouped(benchmark::State& state) {
   const extent_t n = state.range(0);
   auto a = input_grid(n);
+  const sac::ScopedConfig scalar(bench::paper_config());
   for (auto _ : state) {
     auto r = sac::relax_kernel(a, kA, sac::StencilMode::kGrouped);
     benchmark::DoNotOptimize(r.data());
@@ -63,6 +68,7 @@ void BM_StencilGrouped(benchmark::State& state) {
 void BM_StencilPlanes(benchmark::State& state) {
   const extent_t n = state.range(0);
   auto a = input_grid(n);
+  const sac::ScopedConfig scalar(bench::paper_config());
   for (auto _ : state) {
     auto r = sac::relax_kernel(a, kA, sac::StencilMode::kPlanes);
     benchmark::DoNotOptimize(r.data());

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
       const int reps = n <= 18 ? 5000 : 200;
       double seq_us = 0.0, par_us = 0.0;
       {
-        sac::SacConfig cfg = sac::config();
+        sac::SacConfig cfg = bench::paper_config();
         cfg.mt_enabled = false;
         sac::ScopedConfig guard(cfg);
         Timer timer;
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
         seq_us = timer.elapsed_seconds() * 1e6 / reps;
       }
       {
-        sac::SacConfig cfg = sac::config();
+        sac::SacConfig cfg = bench::paper_config();
         cfg.mt_enabled = true;
         cfg.mt_threads = std::max(2u, std::thread::hardware_concurrency());
         cfg.mt_threshold = 1;  // force parallel execution

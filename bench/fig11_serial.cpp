@@ -28,7 +28,10 @@ using namespace sacpp::machine;
 
 namespace {
 
+// Host times of the paper configuration (bench::paper_config), not of the
+// process defaults.
 double measure(Variant v, const MgSpec& spec, int repeats) {
+  const sac::ScopedConfig paper(bench::paper_config());
   RunOptions opts;
   opts.record_norms = false;
   double best = 0.0;

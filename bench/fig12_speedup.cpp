@@ -51,7 +51,7 @@ void real_thread_scaling(const MgSpec& spec, int max_threads) {
   opts.record_norms = false;
   double base = 0.0;
   for (int p = 1; p <= max_threads; ++p) {
-    sac::SacConfig cfg = sac::config();
+    sac::SacConfig cfg = bench::paper_config();
     cfg.mt_enabled = p > 1;
     cfg.mt_threads = static_cast<unsigned>(p);
     sac::ScopedConfig guard(cfg);

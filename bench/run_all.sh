@@ -63,8 +63,8 @@ run obs_consolidate python3 "$(dirname "$0")/obs_consolidate.py" \
 
 # MG timing artifact: every variant at classes S and W, the SAC variants in
 # both the grouped and the shared plane-sum (kPlanes) stencil engines
-# (docs/stencil.md), plus a kPlanes run on the simd row engine
-# (docs/backends.md).  The consolidator joins these wall times with
+# (docs/stencil.md) on the scalar row engine, plus a kPlanes run on the simd
+# row engine (docs/backends.md).  The consolidator joins these wall times with
 # abl_stencil's ns/point ladder and abl_backend's per-primitive breakdown
 # into BENCH_mg.json, validates it against bench/mg_schema.json, and gates
 # at the class-W-sized grid (n = 66): planes-vs-grouped improvement under
@@ -72,9 +72,9 @@ run obs_consolidate python3 "$(dirname "$0")/obs_consolidate.py" \
 for cls in S W; do
   for mode in grouped planes; do
     run "time_mg_sac_${cls}_${mode}" "$BUILD/examples/npb_mg" \
-      --class "$cls" --impl sac --stencil-mode "$mode"
+      --class "$cls" --impl sac --stencil-mode "$mode" --backend scalar
     run "time_mg_direct_${cls}_${mode}" "$BUILD/examples/npb_mg" \
-      --class "$cls" --impl direct --stencil-mode "$mode"
+      --class "$cls" --impl direct --stencil-mode "$mode" --backend scalar
   done
   run "time_mg_sac_${cls}_planes_simd" "$BUILD/examples/npb_mg" \
     --class "$cls" --impl sac --stencil-mode planes --backend simd

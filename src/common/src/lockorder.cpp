@@ -12,8 +12,17 @@ namespace {
 // Locks the calling thread currently holds, outermost first.  Release erases
 // by value (unlock order need not mirror lock order), and an id that was
 // acquired before tracing began is simply absent — note_released tolerates
-// that.
-thread_local std::vector<int> tl_held;
+// that.  A fixed array, not a vector: a trivially destructible thread_local
+// is never destroyed, so it stays usable while other thread_local
+// destructors take tracked locks at thread exit (the buffer pool's magazine
+// flushes into the depot there).  Nesting deeper than kMaxHeld is not
+// recorded; lock nesting here is a handful deep.
+struct HeldLocks {
+  static constexpr std::size_t kMaxHeld = 32;
+  int ids[kMaxHeld];
+  std::size_t count;
+};
+thread_local HeldLocks tl_held;
 
 }  // namespace
 
@@ -34,9 +43,10 @@ int LockRegistry::register_lock(const std::string& name) {
 
 void LockRegistry::note_acquired(int id) {
   if (!enabled()) return;
-  if (!tl_held.empty()) {
+  if (tl_held.count != 0) {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (int held : tl_held) {
+    for (std::size_t i = 0; i < tl_held.count; ++i) {
+      const int held = tl_held.ids[i];
       if (held == id) continue;  // re-entry on the shared class node
       auto it = std::find_if(edges_.begin(), edges_.end(), [&](const Edge& e) {
         return e.from == held && e.to == id;
@@ -48,14 +58,16 @@ void LockRegistry::note_acquired(int id) {
       }
     }
   }
-  tl_held.push_back(id);
+  if (tl_held.count < HeldLocks::kMaxHeld) tl_held.ids[tl_held.count++] = id;
 }
 
 void LockRegistry::note_released(int id) noexcept {
   if (!enabled()) return;
-  for (auto it = tl_held.rbegin(); it != tl_held.rend(); ++it) {
-    if (*it == id) {
-      tl_held.erase(std::next(it).base());
+  for (std::size_t i = tl_held.count; i-- > 0;) {
+    if (tl_held.ids[i] == id) {
+      std::copy(tl_held.ids + i + 1, tl_held.ids + tl_held.count,
+                tl_held.ids + i);
+      tl_held.count -= 1;
       return;
     }
   }

@@ -100,7 +100,7 @@ struct TraceOptions {
   // docs/stencil.md).  Off by default — the paper's sac2c runtime had only
   // the grouped form, so the calibrated Fig. 11-13 traces stay byte
   // identical.  When on, relaxation-sweep regions (kResid/kPsinv — the ops
-  // the row path serves) on levels whose grid extent reaches
+  // the row path serves) on levels whose interior extent reaches
   // sac_planes_cutover have their flops scaled by sac_planes_flop_scale:
   // the factorised 4-mult/~16-add per-point cost over the grouped
   // 4-mult/26-add one.  Folded rprj3 regions (kRprj3) are never scaled —

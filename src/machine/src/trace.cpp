@@ -299,15 +299,16 @@ Trace build_trace(mg::Variant variant, const mg::MgSpec& spec,
       }
     }
     if (opts.sac_planes) {
-      // kPlanes runtime: relaxation sweeps on levels at or above the
-      // small-grid cutover run the factorised plane-sum kernel; smaller
-      // levels and the folded rprj3 gather stay on the grouped form, just
-      // like SacConfig::stencil_planes_cutover in the real engine.
+      // kPlanes runtime: relaxation sweeps on levels whose interior extent
+      // reaches the small-grid cutover run the factorised plane-sum
+      // kernel; smaller levels and the folded rprj3 gather stay on the
+      // grouped form, just like SacConfig::stencil_planes_cutover in the
+      // real engine (which compares the interior extent for both
+      // variants).
       const double scale = std::clamp(opts.sac_planes_flop_scale, 0.0, 1.0);
-      const double ghost = variant == mg::Variant::kSacDirect ? 0.0 : 2.0;
       for (Region& r : t.regions) {
         if (r.op != Op::kResid && r.op != Op::kPsinv) continue;
-        if (std::pow(2.0, r.level) + ghost >= opts.sac_planes_cutover) {
+        if (std::pow(2.0, r.level) >= opts.sac_planes_cutover) {
           r.flops *= scale;
         }
       }

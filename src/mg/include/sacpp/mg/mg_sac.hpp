@@ -12,8 +12,11 @@
 //    composition of Figs. 6/7 (border setup, RelaxKernel, condense, embed,
 //    scatter, take as separate with-loops);
 //  * folding on (default) — the compositions are fused into single
-//    traversals (with-loop folding): v - A(u) evaluates in one sweep, and
-//    Fine2Coarse evaluates the P-stencil only at the condensed points.
+//    traversals (with-loop folding): v - A(u) evaluates in one sweep,
+//    Fine2Coarse evaluates the P-stencil only at the condensed points, and
+//    the border setup folds into every consumer (the stencils and the
+//    scatter read the ghost layer through the periodic wrap), so no grid is
+//    re-bordered or copied before a stencil.
 // Both paths compute identical values (tests assert this).
 
 #include "sacpp/mg/spec.hpp"
@@ -34,9 +37,10 @@ class MgSac {
   // Paper Fig. 4, VCycle: the recursive V-cycle correction operator.
   sac::Array<double> vcycle(const sac::Array<double>& r) const;
 
-  // Paper Fig. 6: Resid — periodic border setup + relaxation with A.
-  // (The paper's Resid(u) computes the operator application A u; the
-  // residual itself is v - Resid(u).)
+  // Paper Fig. 6: Resid — periodic border setup + relaxation with A (the
+  // border folded into the stencil when folding is on).  (The paper's
+  // Resid(u) computes the operator application A u; the residual itself is
+  // v - Resid(u).)
   sac::Array<double> resid(const sac::Array<double>& u) const;
 
   // Paper Fig. 6: Smooth — periodic border setup + relaxation with S.
@@ -58,7 +62,9 @@ class MgSac {
 
   // Periodic boundary initialisation (paper Fig. 5): each ghost layer
   // receives the opposite interior layer, axis by axis.  Runs in place when
-  // the argument is uniquely owned.
+  // the argument is uniquely owned.  The unfolded path calls it before
+  // every stencil; the folded path reads through sac::lazy_periodic_border
+  // instead.
   static sac::Array<double> setup_periodic_border(sac::Array<double> a);
 
   // Residual norm used for verification: sqrt(sum((v - A u)^2) / nx^rank)

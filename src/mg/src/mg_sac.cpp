@@ -11,6 +11,7 @@ using sac::Array;
 using sac::force;
 using sac::gen_interior;
 using sac::gen_range;
+using sac::lazy_periodic_border;
 using sac::relax_kernel;
 using sac::StencilExpr;
 using sac::with_fold;
@@ -31,8 +32,8 @@ void check_extended(const Array<double>& a) {
 // Loop body of add_smooth_fused: z[i,j,k] + (S r)[i,j,k], reading the output
 // array in place.  Carries the kPlanes row protocol by delegating to
 // StencilExpr::accumulate_row — the output row is z's own row, which the
-// stencil never reads (it reads the bordered residual), so accumulating in
-// place is alias-safe and boundary positions simply keep their z value.
+// stencil never reads (it reads the residual), so accumulating in place is
+// alias-safe and boundary positions simply keep their z value.
 struct AddSmoothBody {
   const StencilExpr& st;
   const double* self;
@@ -90,14 +91,18 @@ Array<double> MgSac::setup_periodic_border(Array<double> a) {
 
 Array<double> MgSac::resid(const Array<double>& u) const {
   obs::ScopedSpan span(obs::SpanKind::kKernel, "resid");
-  Array<double> ub = setup_periodic_border(u);
-  return relax_kernel(ub, spec_.a);
+  if (sac::active_config().folding) {
+    return relax_kernel(lazy_periodic_border(u), spec_.a);
+  }
+  return relax_kernel(setup_periodic_border(u), spec_.a);
 }
 
 Array<double> MgSac::smooth(const Array<double>& r) const {
   obs::ScopedSpan span(obs::SpanKind::kKernel, "psinv");
-  Array<double> rb = setup_periodic_border(r);
-  return relax_kernel(rb, spec_.s);
+  if (sac::active_config().folding) {
+    return relax_kernel(lazy_periodic_border(r), spec_.s);
+  }
+  return relax_kernel(setup_periodic_border(r), spec_.s);
 }
 
 Array<double> MgSac::fine2coarse(const Array<double>& r) const {
@@ -119,20 +124,22 @@ Array<double> MgSac::coarse2fine(const Array<double>& rn) const {
 }
 
 // -- fused forms (with-loop folding on) --------------------------------------
+//
+// The border setup folds into each consumer too: the stencils and the
+// prolongation's scatter read the argument through lazy_periodic_border, so
+// no with-loop rewrites the ghost layer and no shared grid is copied.
 
 Array<double> MgSac::sub_resid_fused(const Array<double>& v,
                                      const Array<double>& u) const {
   obs::ScopedSpan span(obs::SpanKind::kKernel, "resid");
-  Array<double> ub = setup_periodic_border(u);
-  return force(sac::ewise(v, StencilExpr(std::move(ub), spec_.a),
+  return force(sac::ewise(v, StencilExpr(lazy_periodic_border(u), spec_.a),
                           std::minus<>{}));
 }
 
 Array<double> MgSac::add_smooth_fused(Array<double> z,
                                       const Array<double>& r) const {
   obs::ScopedSpan span(obs::SpanKind::kKernel, "psinv");
-  Array<double> rb = setup_periodic_border(r);
-  const StencilExpr st(std::move(rb), spec_.s);
+  const StencilExpr st(lazy_periodic_border(r), spec_.s);
   const Shape shp = z.shape();
   double* self = z.mutable_data();  // in place when uniquely owned
   const auto g = sac::detail::resolve(sac::gen_all(), shp);
@@ -149,8 +156,7 @@ Array<double> MgSac::add_smooth_fused(Array<double> z,
 }
 
 Array<double> MgSac::fine2coarse_fused(const Array<double>& r) const {
-  Array<double> rs = setup_periodic_border(r);
-  auto relaxed = StencilExpr(std::move(rs), spec_.p);
+  auto relaxed = StencilExpr(lazy_periodic_border(r), spec_.p);
   auto rc = sac::lazy_condense(2, std::move(relaxed));
   const IndexVec coarse_shape = rc.shape().extents() + 1;
   const IndexVec zero = 0 * coarse_shape;
@@ -159,13 +165,12 @@ Array<double> MgSac::fine2coarse_fused(const Array<double>& r) const {
 }
 
 Array<double> MgSac::coarse2fine_fused(const Array<double>& rn) const {
-  Array<double> rp = setup_periodic_border(rn);
-  // scatter + take fuse into one traversal; the Q-relaxation then needs the
-  // scattered grid materialised (stencils fold only over concrete arrays —
-  // the same profitability constraint sac2c applies).
-  const IndexVec fine_shape = 2 * rp.shape().extents() - 2;
-  Array<double> rt =
-      force(sac::lazy_take(fine_shape, sac::lazy_scatter(2, std::move(rp))));
+  // border + scatter + take fuse into one traversal; the Q-relaxation then
+  // needs the scattered grid materialised (stencils fold only over concrete
+  // arrays — the same profitability constraint sac2c applies).
+  const IndexVec fine_shape = 2 * rn.shape().extents() - 2;
+  Array<double> rt = force(sac::lazy_take(
+      fine_shape, sac::lazy_scatter(2, lazy_periodic_border(rn))));
   return relax_kernel(rt, spec_.q);
 }
 
@@ -217,8 +222,6 @@ Array<double> MgSac::vcycle(const Array<double>& r) const {
 
 Array<double> MgSac::mgrid(const Array<double>& v, int iter) const {
   check_extended(v);
-  const bool folded = sac::active_config().folding;
-  (void)folded;
   Array<double> u = sac::genarray_const(v.shape(), 0.0);
   for (int i = 0; i < iter; ++i) {
     Array<double> r = residual(v, u);

@@ -41,6 +41,11 @@ void flight_register_provider(const std::string& name,
 // misses keeps the newest snapshot instead of thrashing the disk.
 bool flight_dump(const char* reason, bool force = false);
 
+// The clock, in ns, that the dump rate limit reads (obs::now_ns by
+// default; nullptr restores it).  Lets tests step time instead of relying
+// on two calls landing inside one real second.
+void flight_set_clock(std::int64_t (*now)());
+
 // Install best-effort SIGSEGV / SIGABRT / SIGFPE handlers that dump and then
 // re-raise the default disposition.  Idempotent.
 void flight_install_signal_handlers();

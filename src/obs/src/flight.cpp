@@ -28,6 +28,7 @@ struct FlightState {
   std::vector<std::pair<std::string, std::function<std::string()>>> providers;
   std::int64_t last_dump_ns = -kMinDumpIntervalNs;
   std::uint64_t dumps = 0;
+  std::int64_t (*clock)() = nullptr;  // nullptr: now_ns
 };
 
 FlightState& flight_state() {
@@ -154,7 +155,7 @@ bool flight_dump(const char* reason, bool force) {
     FlightState& st = flight_state();
     std::lock_guard<std::mutex> lock(st.mutex);
     if (st.path.empty()) return false;
-    const std::int64_t now = now_ns();
+    const std::int64_t now = st.clock != nullptr ? st.clock() : now_ns();
     if (!force && now - st.last_dump_ns < kMinDumpIntervalNs) return false;
     st.last_dump_ns = now;
     st.dumps += 1;
@@ -167,6 +168,12 @@ bool flight_dump(const char* reason, bool force) {
   if (!f) return false;
   write_dump(f, reason, seq);
   return static_cast<bool>(f);
+}
+
+void flight_set_clock(std::int64_t (*now)()) {
+  FlightState& st = flight_state();
+  std::lock_guard<std::mutex> lock(st.mutex);
+  st.clock = now;
 }
 
 void flight_install_signal_handlers() {

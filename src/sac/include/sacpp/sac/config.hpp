@@ -17,11 +17,12 @@ namespace sacpp::sac {
 // without a circular include.
 //  * kGrouped — sum the neighbours of each coefficient class first, then one
 //    multiplication per class (4 mults / 26 adds for rank 3); sac2c reaches
-//    this form implicitly, and it is our default.
+//    this form implicitly, and it is the paper configuration's mode.
 //  * kNaive — one multiply-add per stencil point (27 mults / 26 adds).
 //  * kPlanes — the NPB Fortran hand optimisation: per-class row partial sums
 //    shared between neighbouring output points (4 mults / ~16 adds with
-//    reuse).  Falls back to kGrouped per-point evaluation on grids below
+//    reuse); the default.  Falls back to kGrouped per-point evaluation on
+//    grids whose interior extent is below
 //    SacConfig::stencil_planes_cutover.
 enum class StencilMode { kGrouped, kNaive, kPlanes };
 
@@ -118,27 +119,29 @@ struct SacConfig {
   bool pool = true;
 
   // Stencil evaluation strategy used when a call site does not pick one
-  // explicitly (docs/stencil.md).  kGrouped keeps the historical association
-  // order, so goldens and the frozen machine-model calibration are
-  // unaffected unless kPlanes is opted into via SACPP_STENCIL_MODE=planes
-  // or npb_mg --stencil-mode=planes.
-  StencilMode stencil_mode = StencilMode::kGrouped;
+  // explicitly (docs/stencil.md).  The default is the fast shared plane-sum
+  // engine; the paper configuration (kGrouped, the association order the
+  // machine model is calibrated against) stays one SACPP_STENCIL_MODE=grouped
+  // or npb_mg --stencil-mode=grouped away.
+  StencilMode stencil_mode = StencilMode::kPlanes;
 
-  // Small-grid cutover for kPlanes: grids whose smallest extent is below
-  // this fall back to kGrouped per-point evaluation — at the bottom of the
-  // V-cycle the row scratch setup costs more than the additions it saves
-  // (the same small-grid economics as mt_threshold / the pool's role on
-  // small levels, docs/memory.md).  The MG level ladder is 4, 6, 10, 18,
-  // 34, 66, ...; 18 keeps the two coarsest meaningful levels on kGrouped.
+  // Small-grid cutover for kPlanes: grids whose smallest interior extent
+  // (ghost layers excluded, so grids with and without ghosts agree) is
+  // below this fall back to kGrouped per-point evaluation — at the bottom
+  // of the V-cycle the row scratch setup costs more than the additions it
+  // saves (the same small-grid economics as mt_threshold / the pool's role
+  // on small levels, docs/memory.md).  The MG levels have interior extent
+  // 2, 4, 8, 16, 32, 64, ...; 18 keeps every level up to 16^3 on kGrouped.
   std::int64_t stencil_planes_cutover = 18;
 
   // Compute backend for the dense-rank-3 row primitives (docs/backends.md).
-  // kScalar keeps the historical element order everywhere, so goldens are
-  // unaffected unless kSimd is opted into via SACPP_BACKEND=simd or
-  // npb_mg --backend=simd.  Element-parallel rows (fills, stencil plane
-  // sums/combines, gathers) are bit-identical across backends; only the
-  // row folds (L2 / max-abs norms) reassociate, in a fixed lane order.
-  BackendKind backend = BackendKind::kScalar;
+  // The default is the widest vector engine the CPU has; kScalar, the
+  // historical element order of the paper configuration, stays one
+  // SACPP_BACKEND=scalar or npb_mg --backend=scalar away.  Element-parallel
+  // rows (fills, stencil plane sums/combines, gathers) are bit-identical
+  // across backends; only the row folds (L2 / max-abs norms) reassociate,
+  // in a fixed lane order.
+  BackendKind backend = BackendKind::kSimd;
 };
 
 // Process-global configuration used by all with-loop executions.

@@ -118,50 +118,31 @@ class PeriodicStencilExpr {
   }
 
  private:
-  // Interior: identical arithmetic (and association order) to
-  // StencilExpr::at_linear3 so the two formulations agree bitwise there.
+  // Interior: the grouped tree of StencilExpr::at_linear3, so the two
+  // formulations agree bitwise there.
   double direct3(extent_t centre) const {
     const double* c = a_.data() + centre;
-    const double* im = c - s0_;
-    const double* ip = c + s0_;
-    const double* jm = c - s1_;
-    const double* jp = c + s1_;
-    const double* imm = im - s1_;
-    const double* imp = im + s1_;
-    const double* ipm = ip - s1_;
-    const double* ipp = ip + s1_;
-    const double faces = im[0] + ip[0] + jm[0] + jp[0] + c[-1] + c[1];
-    const double edges = imm[0] + imp[0] + ipm[0] + ipp[0] + im[-1] + im[1] +
-                         ip[-1] + ip[1] + jm[-1] + jm[1] + jp[-1] + jp[1];
-    const double corners = imm[-1] + imm[1] + imp[-1] + imp[1] + ipm[-1] +
-                           ipm[1] + ipp[-1] + ipp[1];
-    return c_[0] * c[0] + c_[1] * faces + c_[2] * edges + c_[3] * corners;
+    const extent_t s0 = s0_, s1 = s1_;
+    return grouped_stencil3(c_, [c, s0, s1](int di, int dj, int dk) {
+      return c[di * s0 + dj * s1 + dk];
+    });
   }
 
-  // Boundary points: neighbour coordinates wrap modulo the extent.  Sums
-  // are grouped per class in the same order as the direct evaluator.
+  // Boundary points: the same tree, neighbour coordinates wrapping modulo
+  // the extent.
   double wrapped3(extent_t i, extent_t j, extent_t k) const {
     const Shape& shp = a_.shape();
     const extent_t n0 = shp.extent(0), n1 = shp.extent(1),
                    n2 = shp.extent(2);
-    const extent_t im = (i + n0 - 1) % n0, ip = (i + 1) % n0;
-    const extent_t jm = (j + n1 - 1) % n1, jp = (j + 1) % n1;
-    const extent_t km = (k + n2 - 1) % n2, kp = (k + 1) % n2;
+    const extent_t x[3] = {(i + n0 - 1) % n0 * s0_, i * s0_,
+                           (i + 1) % n0 * s0_};
+    const extent_t y[3] = {(j + n1 - 1) % n1 * s1_, j * s1_,
+                           (j + 1) % n1 * s1_};
+    const extent_t z[3] = {(k + n2 - 1) % n2, k, (k + 1) % n2};
     const double* p = a_.data();
-    auto at = [&](extent_t x, extent_t y, extent_t z) {
-      return p[(x * n1 + y) * n2 + z];
-    };
-    const double faces = at(im, j, k) + at(ip, j, k) + at(i, jm, k) +
-                         at(i, jp, k) + at(i, j, km) + at(i, j, kp);
-    const double edges = at(im, jm, k) + at(im, jp, k) + at(ip, jm, k) +
-                         at(ip, jp, k) + at(im, j, km) + at(im, j, kp) +
-                         at(ip, j, km) + at(ip, j, kp) + at(i, jm, km) +
-                         at(i, jm, kp) + at(i, jp, km) + at(i, jp, kp);
-    const double corners = at(im, jm, km) + at(im, jm, kp) + at(im, jp, km) +
-                           at(im, jp, kp) + at(ip, jm, km) + at(ip, jm, kp) +
-                           at(ip, jp, km) + at(ip, jp, kp);
-    return c_[0] * at(i, j, k) + c_[1] * faces + c_[2] * edges +
-           c_[3] * corners;
+    return grouped_stencil3(c_, [&](int di, int dj, int dk) {
+      return p[x[di + 1] + y[dj + 1] + z[dk + 1]];
+    });
   }
 
   // Any-rank fallback via the cached offset table, wrapping per axis.

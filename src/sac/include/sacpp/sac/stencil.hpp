@@ -11,7 +11,7 @@
 // (StencilMode lives in config.hpp; docs/stencil.md):
 //  * kGrouped — sum the neighbours of each class first, then apply one
 //    multiplication per class (4 mults / 26 adds for rank 3).  sac2c reaches
-//    this form implicitly; it is our default.
+//    this form implicitly; it is the paper configuration's mode.
 //  * kNaive — one multiply-add per stencil point (27 mults / 26 adds),
 //    what a direct translation of the mathematics would do.  Kept for the
 //    abl_stencil ablation.
@@ -20,13 +20,17 @@
 //    class-2 diagonal row sums u2[k] are computed once into scratch, then
 //    every output point reuses three of each (4 mults / ~16 adds per point,
 //    contiguous auto-vectorisable loops).  Executed through the with-loop
-//    row-fill path (detail::RowFillBody); grids below
-//    SacConfig::stencil_planes_cutover fall back to kGrouped per-point
-//    evaluation, where the scratch setup would dominate.
+//    row-fill path (detail::RowFillBody); grids whose interior extent is
+//    below SacConfig::stencil_planes_cutover fall back to kGrouped
+//    per-point evaluation, where the scratch setup would dominate.  It is
+//    the default mode.
 //
 // StencilExpr is the lazy form (expr.hpp): stencil value on interior
 // points, 0 on the boundary ring, exactly the result RelaxKernel
-// materialises.  It fuses with surrounding expressions (with-loop folding).
+// materialises.  It fuses with surrounding expressions (with-loop folding),
+// including a lazy periodic border below it (PeriodicBorderExpr): the
+// stencil then reads its argument's ghost layer through the periodic wrap
+// instead of from memory.
 
 #include <algorithm>
 #include <array>
@@ -39,6 +43,7 @@
 #include "sacpp/sac/array.hpp"
 #include "sacpp/sac/backend.hpp"
 #include "sacpp/sac/config.hpp"
+#include "sacpp/sac/expr.hpp"
 #include "sacpp/sac/pool.hpp"
 #include "sacpp/sac/stats.hpp"
 #include "sacpp/sac/with_loop.hpp"
@@ -53,7 +58,8 @@ struct StencilCoeffs {
 };
 
 // Per-chunk scratch of the kPlanes row path: one block holding the u1
-// (class-1) and u2 (class-2) partial-sum rows, plus the tally flushed into
+// (class-1) and u2 (class-2) partial-sum rows and the wrapped centre row of
+// a stencil over a lazy periodic border, plus the tally flushed into
 // stats().stencil_rows_reused on destruction (once per chunk, so the hot
 // loop never touches the shared counter).  Deliberately NOT a Buffer<T>:
 // chunk states live and die on worker threads, and Buffer ownership is
@@ -63,7 +69,7 @@ struct StencilCoeffs {
 class PlaneScratch {
  public:
   explicit PlaneScratch(extent_t row_len) {
-    bytes_ = pool_block_bytes(2 * static_cast<std::size_t>(row_len) *
+    bytes_ = pool_block_bytes(3 * static_cast<std::size_t>(row_len) *
                               sizeof(double));
     pooled_ = active_config().pool;
     void* raw = pooled_ ? BufferPool::instance().allocate(bytes_)
@@ -71,11 +77,13 @@ class PlaneScratch {
     SACPP_REQUIRE(raw != nullptr, "stencil plane scratch allocation failed");
     u1_ = static_cast<double*>(raw);
     u2_ = u1_ + row_len;
+    uc_ = u2_ + row_len;
   }
   PlaneScratch(PlaneScratch&& o) noexcept
       : rows(std::exchange(o.rows, 0)),
         u1_(std::exchange(o.u1_, nullptr)),
         u2_(std::exchange(o.u2_, nullptr)),
+        uc_(std::exchange(o.uc_, nullptr)),
         bytes_(o.bytes_),
         pooled_(o.pooled_) {}
   PlaneScratch(const PlaneScratch&) = delete;
@@ -94,6 +102,7 @@ class PlaneScratch {
 
   double* u1() noexcept { return u1_; }
   double* u2() noexcept { return u2_; }
+  double* uc() noexcept { return uc_; }
   const double* u1() const noexcept { return u1_; }
   const double* u2() const noexcept { return u2_; }
 
@@ -102,9 +111,28 @@ class PlaneScratch {
  private:
   double* u1_ = nullptr;
   double* u2_ = nullptr;
+  double* uc_ = nullptr;  // wrapped copy of the centre row (StencilExpr)
   std::size_t bytes_ = 0;
   bool pooled_ = false;
 };
+
+// The rank-3 grouped association tree (4 mults / 26 adds), shared by every
+// per-point rank-3 evaluator so that they agree bit for bit; at(di, dj, dk)
+// reads the neighbour at that offset.  The order is the one sac2c's
+// optimiser reaches implicitly (paper Sec. 5).
+template <typename At>
+inline double grouped_stencil3(const StencilCoeffs& c, At at) {
+  const double faces = at(-1, 0, 0) + at(1, 0, 0) + at(0, -1, 0) +
+                       at(0, 1, 0) + at(0, 0, -1) + at(0, 0, 1);
+  const double edges = at(-1, -1, 0) + at(-1, 1, 0) + at(1, -1, 0) +
+                       at(1, 1, 0) + at(-1, 0, -1) + at(-1, 0, 1) +
+                       at(1, 0, -1) + at(1, 0, 1) + at(0, -1, -1) +
+                       at(0, -1, 1) + at(0, 1, -1) + at(0, 1, 1);
+  const double corners = at(-1, -1, -1) + at(-1, -1, 1) + at(-1, 1, -1) +
+                         at(-1, 1, 1) + at(1, -1, -1) + at(1, -1, 1) +
+                         at(1, 1, -1) + at(1, 1, 1);
+  return c[0] * at(0, 0, 0) + c[1] * faces + c[2] * edges + c[3] * corners;
+}
 
 // All offsets in {-1, 0, 1}^rank with their distance class; cached per rank.
 class StencilTable {
@@ -124,7 +152,9 @@ class StencilTable {
 };
 
 // Lazy stencil application over a concrete array: interior points evaluate
-// the weighted neighbour sum, boundary points are 0.
+// the weighted neighbour sum, boundary points are 0.  Over a
+// PeriodicBorderExpr the neighbours on the argument's ghost layer are read
+// through the periodic wrap; the stored ghost values are never read.
 class StencilExpr {
  public:
   StencilExpr(Array<double> a, const StencilCoeffs& coeffs,
@@ -149,11 +179,20 @@ class StencilExpr {
     if (shp.rank() == 3) {
       s0_ = strides[0];
       s1_ = strides[1];
-      // Small-grid cutover: below it the scratch setup costs more than the
-      // shared additions save, so kPlanes degrades to kGrouped per point.
+      // Small-grid cutover, on the interior extent (the ghost-free
+      // PeriodicStencilExpr compares the same number, so both formulations
+      // pick the same path per level): below it the scratch setup costs
+      // more than the shared additions save, so kPlanes degrades to
+      // kGrouped per point.
       planes_rows_ = mode_ == StencilMode::kPlanes &&
-                     min_extent >= active_config().stencil_planes_cutover;
+                     min_extent - 2 >= active_config().stencil_planes_cutover;
     }
+  }
+
+  StencilExpr(PeriodicBorderExpr b, const StencilCoeffs& coeffs,
+              StencilMode mode = active_config().stencil_mode)
+      : StencilExpr(std::move(b.a), coeffs, mode) {
+    wrap_ = true;
   }
 
   const Shape& shape() const { return a_.shape(); }
@@ -175,8 +214,9 @@ class StencilExpr {
     // kPlanes evaluated per point (below the cutover, or through a fused
     // expression with no row path) uses the grouped association tree.
     if (mode_ != StencilMode::kNaive && iv.size() == 3) {
-      return at_linear3(a_.shape().linearize(iv));
+      return (*this)(iv[0], iv[1], iv[2]);
     }
+    if (wrap_ && next_to_ghosts(iv)) return at_wrapped(iv);
     return at_linear(a_.shape().linearize(iv));
   }
 
@@ -186,6 +226,11 @@ class StencilExpr {
     if (i < 1 || i >= shp[0] - 1 || j < 1 || j >= shp[1] - 1 || k < 1 ||
         k >= shp[2] - 1)
       return 0.0;
+    if (wrap_ && (i == 1 || i == shp[0] - 2 || j == 1 || j == shp[1] - 2 ||
+                  k == 1 || k == shp[2] - 2)) {
+      if (mode_ != StencilMode::kNaive) return at_wrapped3(i, j, k);
+      return at_wrapped(IndexVec{i, j, k});
+    }
     if (mode_ != StencilMode::kNaive) {
       return at_linear3((i * shp[1] + j) * shp[2] + k);
     }
@@ -238,25 +283,15 @@ class StencilExpr {
     st.rows += 1;
   }
 
-  // Unrolled grouped evaluation for rank 3 (the dominant path): nine row
-  // pointers with compile-time +-1 offsets, 4 multiplications, 26 additions
-  // — the form sac2c's optimiser reaches implicitly (paper Sec. 5).
+  // Unrolled grouped evaluation for rank 3 (the dominant path): the
+  // neighbours at compile-time +-1 offsets of the centre, 4 multiplications,
+  // 26 additions.
   double at_linear3(extent_t centre) const {
     const double* c = a_.data() + centre;
-    const double* im = c - s0_;
-    const double* ip = c + s0_;
-    const double* jm = c - s1_;
-    const double* jp = c + s1_;
-    const double* imm = im - s1_;
-    const double* imp = im + s1_;
-    const double* ipm = ip - s1_;
-    const double* ipp = ip + s1_;
-    const double faces = im[0] + ip[0] + jm[0] + jp[0] + c[-1] + c[1];
-    const double edges = imm[0] + imp[0] + ipm[0] + ipp[0] + im[-1] + im[1] +
-                         ip[-1] + ip[1] + jm[-1] + jm[1] + jp[-1] + jp[1];
-    const double corners = imm[-1] + imm[1] + imp[-1] + imp[1] + ipm[-1] +
-                           ipm[1] + ipp[-1] + ipp[1];
-    return c_[0] * c[0] + c_[1] * faces + c_[2] * edges + c_[3] * corners;
+    const extent_t s0 = s0_, s1 = s1_;
+    return grouped_stencil3(c_, [c, s0, s1](int di, int dj, int dk) {
+      return c[di * s0 + dj * s1 + dk];
+    });
   }
 
   // Weighted neighbour sum around a (guaranteed interior) linear offset.
@@ -280,6 +315,62 @@ class StencilExpr {
   }
 
  private:
+  bool next_to_ghosts(const IndexVec& iv) const {
+    const Shape& shp = a_.shape();
+    for (std::size_t d = 0; d < iv.size(); ++d) {
+      if (iv[d] == 1 || iv[d] == shp[d] - 2) return true;
+    }
+    return false;
+  }
+
+  // at_linear3 at an interior point next to the ghost layer of a wrapped
+  // stencil: the same tree, neighbour coordinates through the wrap.
+  double at_wrapped3(extent_t i, extent_t j, extent_t k) const {
+    const Shape& shp = a_.shape();
+    const extent_t n0 = shp[0], n1 = shp[1], n2 = shp[2];
+    const extent_t x[3] = {PeriodicBorderExpr::wrap(i - 1, n0) * s0_,
+                           i * s0_, PeriodicBorderExpr::wrap(i + 1, n0) * s0_};
+    const extent_t y[3] = {PeriodicBorderExpr::wrap(j - 1, n1) * s1_,
+                           j * s1_, PeriodicBorderExpr::wrap(j + 1, n1) * s1_};
+    const extent_t z[3] = {PeriodicBorderExpr::wrap(k - 1, n2), k,
+                           PeriodicBorderExpr::wrap(k + 1, n2)};
+    const double* p = a_.data();
+    return grouped_stencil3(c_, [&](int di, int dj, int dk) {
+      return p[x[di + 1] + y[dj + 1] + z[dk + 1]];
+    });
+  }
+
+  // at_linear at an interior point of a wrapped stencil: the same class and
+  // neighbour order, neighbour coordinates through the wrap.
+  double at_wrapped(const IndexVec& iv) const {
+    const Shape& shp = a_.shape();
+    const auto& entries = StencilTable::for_rank(shp.rank()).entries();
+    auto value = [&](const StencilTable::Entry& e) {
+      extent_t off = 0;
+      for (std::size_t d = 0; d < iv.size(); ++d) {
+        off = off * shp[d] +
+              PeriodicBorderExpr::wrap(iv[d] + e.offset[d], shp[d]);
+      }
+      return a_.data()[off];
+    };
+    double acc = 0.0;
+    for (std::size_t cls = 0; cls < 4; ++cls) {
+      if (mode_ == StencilMode::kGrouped) {
+        if (by_class_[cls].empty()) continue;
+        double s = 0.0;
+        for (const auto& e : entries) {
+          if (static_cast<std::size_t>(e.cls) == cls) s += value(e);
+        }
+        acc += c_[cls] * s;
+      } else {
+        for (const auto& e : entries) {
+          if (static_cast<std::size_t>(e.cls) == cls) acc += c_[cls] * value(e);
+        }
+      }
+    }
+    return acc;
+  }
+
   // One fused output row (i, j): the NPB u1/u2 plane sums — u1[k] the four
   // class-1 neighbours in the i/j directions, u2[k] the four class-2
   // diagonal rows — feeding the per-point combine, issued as the Backend's
@@ -288,6 +379,10 @@ class StencilExpr {
   // argument and the scratch is a separate block (docs/backends.md).
   void fused_row(PlaneScratch& st, extent_t i, extent_t j, double* out,
                  extent_t k_lo, extent_t k_hi, bool accumulate) const {
+    if (wrap_) {
+      wrapped_row(st, i, j, out, k_lo, k_hi, accumulate);
+      return;
+    }
     const double* c = a_.data() + i * s0_ + j * s1_;
     const double* im = c - s0_;
     const double* ip = c + s0_;
@@ -298,6 +393,42 @@ class StencilExpr {
                      a_.shape().extent(2), accumulate);
   }
 
+  // fused_row of a wrapped stencil.  The neighbour rows are taken with
+  // their i/j coordinates wrapped.  The plane sums, and a scratch copy of
+  // the centre row, cover the interior k only; each of the three rows then
+  // gets its two ghost entries copied from the wrapped interior ones —
+  // exactly the values the bordered row would have held, since bordering
+  // only copies.  The combine therefore does the bordered row's arithmetic.
+  void wrapped_row(PlaneScratch& st, extent_t i, extent_t j, double* out,
+                   extent_t k_lo, extent_t k_hi, bool accumulate) const {
+    const Shape& shp = a_.shape();
+    const extent_t n2 = shp[2];
+    const extent_t im = PeriodicBorderExpr::wrap(i - 1, shp[0]);
+    const extent_t ip = PeriodicBorderExpr::wrap(i + 1, shp[0]);
+    const extent_t jm = PeriodicBorderExpr::wrap(j - 1, shp[1]);
+    const extent_t jp = PeriodicBorderExpr::wrap(j + 1, shp[1]);
+    auto interior = [this](extent_t x, extent_t y) {
+      return a_.data() + x * s0_ + y * s1_ + 1;  // row (x, y) from k = 1
+    };
+    double* u1 = st.u1();
+    double* u2 = st.u2();
+    double* uc = st.uc();
+    be_->plane_sums(interior(im, j), interior(ip, j), interior(i, jm),
+                    interior(i, jp), interior(im, jm), interior(im, jp),
+                    interior(ip, jm), interior(ip, jp), u1 + 1, u2 + 1,
+                    n2 - 2);
+    be_->copy_row(uc, interior(i, j), 1, n2 - 1);
+    for (double* r : {u1, u2, uc}) {
+      r[0] = r[n2 - 2];
+      r[n2 - 1] = r[1];
+    }
+    if (accumulate) {
+      be_->accumulate_row(c_.c.data(), uc, u1, u2, out, k_lo, k_hi);
+    } else {
+      be_->combine_row(c_.c.data(), uc, u1, u2, out, k_lo, k_hi);
+    }
+  }
+
   Array<double> a_;
   StencilCoeffs c_;
   StencilMode mode_;
@@ -306,12 +437,19 @@ class StencilExpr {
   extent_t s0_ = 0;  // rank-3 row strides for the unrolled evaluator
   extent_t s1_ = 0;
   bool planes_rows_ = false;  // kPlanes row path active (rank 3, >= cutover)
+  bool wrap_ = false;  // ghost layer read through the periodic wrap
 };
 
 // Eager RelaxKernel: one with-loop over the interior, zero boundary ring —
 // the fixed-boundary relaxation step of the paper's Fig. 6/7.  The default
 // mode is the process-wide SacConfig::stencil_mode (evaluated per call).
 Array<double> relax_kernel(const Array<double>& a, const StencilCoeffs& coeffs,
+                           StencilMode mode = active_config().stencil_mode);
+
+// RelaxKernel(SetupPeriodicBorder(a)) with the border folded into the
+// stencil: bit-identical to relaxing the eagerly bordered array.
+Array<double> relax_kernel(const PeriodicBorderExpr& b,
+                           const StencilCoeffs& coeffs,
                            StencilMode mode = active_config().stencil_mode);
 
 }  // namespace sacpp::sac

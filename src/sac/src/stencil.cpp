@@ -44,4 +44,10 @@ Array<double> relax_kernel(const Array<double>& a, const StencilCoeffs& coeffs,
   return with_genarray<double>(a.shape(), gen_interior(a.shape()), st, 0.0);
 }
 
+Array<double> relax_kernel(const PeriodicBorderExpr& b,
+                           const StencilCoeffs& coeffs, StencilMode mode) {
+  const StencilExpr st(b, coeffs, mode);
+  return with_genarray<double>(b.shape(), gen_interior(b.shape()), st, 0.0);
+}
+
 }  // namespace sacpp::sac

@@ -35,8 +35,10 @@ struct SolveRequest {
   mg::Variant variant = mg::Variant::kSacDirect;
   std::uint32_t nit = 0;    // benchmark iterations; 0 = class default
   Priority priority = Priority::kNormal;
-  sac::StencilMode stencil_mode = sac::StencilMode::kGrouped;
-  sac::BackendKind backend = sac::BackendKind::kScalar;  // row-primitive engine
+  // Stencil engine and row-primitive engine: the process defaults, taken
+  // from SacConfig{} so a request and a local run start from the same path.
+  sac::StencilMode stencil_mode = sac::SacConfig{}.stencil_mode;
+  sac::BackendKind backend = sac::SacConfig{}.backend;
   std::uint32_t gang = 0;   // worker threads wanted; 0 = scheduler policy
   std::int64_t deadline_ns = 0;  // latency budget from submit; 0 = none
   bool record_norms = false;     // per-iteration norms (costs a resid pass)

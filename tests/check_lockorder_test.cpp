@@ -52,6 +52,30 @@ TEST(CheckLockOrder, NoEdgesRecordedWhileTracingDisabled) {
   EXPECT_EQ(reg.edge_count(), 0u);
 }
 
+// A thread_local whose destructor takes a tracked lock — the buffer pool's
+// per-thread magazine flushing into the depot — may be constructed before
+// the thread's first tracked lock, and so be destroyed after the registry's
+// per-thread state.  Recording that last lock must still be safe (under
+// AddressSanitizer this was a heap use-after-free).
+TrackedMutex& exit_lock() {
+  static TrackedMutex m("test.thread_exit");
+  return m;
+}
+
+TEST(CheckLockOrder, TrackedLockInThreadExitDestructorIsRecordedSafely) {
+  LockOrderSession session;
+  std::thread([] {
+    struct LocksAtExit {
+      ~LocksAtExit() { std::lock_guard<TrackedMutex> g(exit_lock()); }
+    };
+    thread_local LocksAtExit at_exit;
+    (void)&at_exit;
+    std::lock_guard<TrackedMutex> g(exit_lock());
+  }).join();
+  DiagnosticEngine& engine = session.finish();
+  EXPECT_TRUE(engine.empty()) << engine.to_ascii();
+}
+
 TEST(CheckLockOrder, CleanNestingYieldsNoDiagnostics) {
   TrackedMutex outer("test.clean.outer");
   TrackedMutex inner("test.clean.inner");

@@ -126,13 +126,12 @@ TEST(Trace, PlanesOptionScalesOnlyLargeRelaxationSweeps) {
   const Trace planes = build_trace(mg::Variant::kSac, kSpecS, opts);
   ASSERT_EQ(base.regions.size(), planes.regions.size());
   const double scale = opts.sac_planes_flop_scale;
-  const double ghost = 2.0;  // kSac carries the artificial boundary layer
   for (std::size_t i = 0; i < base.regions.size(); ++i) {
     const Region& b = base.regions[i];
     const Region& p = planes.regions[i];
     const bool relax = b.op == Op::kResid || b.op == Op::kPsinv;
-    const bool above =
-        std::pow(2.0, b.level) + ghost >= opts.sac_planes_cutover;
+    // The cutover compares the interior extent 2^level, ghosts excluded.
+    const bool above = std::pow(2.0, b.level) >= opts.sac_planes_cutover;
     if (relax && above) {
       EXPECT_NEAR(p.flops, b.flops * scale, 1e-9) << op_name(b.op);
     } else {

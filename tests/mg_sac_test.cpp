@@ -74,6 +74,129 @@ TEST(Border, WorksForRank1And2) {
   EXPECT_DOUBLE_EQ((m[IndexVec{0, 0}]), (m[IndexVec{2, 2}]));  // corner
 }
 
+// -- the border fold: consumers of lazy_periodic_border read exactly the
+// values the eager border would have copied, so every stencil and scatter
+// over it is bit-identical to the same consumer over the bordered array —
+// under every stencil mode and row engine, on the row path and per point.
+
+void expect_same_bits(const Array<double>& got, const Array<double>& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  for (extent_t i = 0; i < got.elem_count(); ++i) {
+    ASSERT_EQ(got.at_linear(i), want.at_linear(i)) << "element " << i;
+  }
+}
+
+struct FoldCase {
+  sac::StencilMode mode;
+  sac::BackendKind backend;
+};
+
+class BorderFold : public ::testing::TestWithParam<FoldCase> {
+ protected:
+  // The engine configuration under test; cutover 0 puts every rank-3 grid
+  // on the kPlanes row path, the default keeps small grids per point.
+  sac::SacConfig config_for(std::int64_t cutover, bool mt) const {
+    sac::SacConfig cfg = sac::config();
+    cfg.stencil_mode = GetParam().mode;
+    cfg.backend = GetParam().backend;
+    cfg.stencil_planes_cutover = cutover;
+    cfg.mt_enabled = mt;
+    cfg.mt_threads = 3;
+    cfg.mt_threshold = 1;
+    return cfg;
+  }
+};
+
+TEST_P(BorderFold, StencilsMatchTheBorderedArgument) {
+  const sac::StencilCoeffs c{{-8.0 / 3.0, 0.0, 1.0 / 6.0, 1.0 / 12.0}};
+  const Shape shapes[] = {{3, 3, 3}, {4, 4, 4},   {6, 5, 7}, {10, 9, 11},
+                          {20, 20, 20}, {9},     {6, 7},    {4, 10}};
+  for (const Shape& shp : shapes) {
+    const auto a = random_extended(shp, 21);  // stale ghosts
+    const auto v = random_extended(shp, 22);
+    const auto bordered = MgSac::setup_periodic_border(a);
+    for (const std::int64_t cutover : {std::int64_t{0}, std::int64_t{18}}) {
+      for (const bool mt : {false, true}) {
+        sac::ScopedConfig guard(config_for(cutover, mt));
+        SCOPED_TRACE(::testing::Message() << "cutover " << cutover << " mt "
+                                          << mt << " rank " << shp.rank()
+                                          << " extent0 " << shp.extent(0));
+        expect_same_bits(sac::relax_kernel(sac::lazy_periodic_border(a), c),
+                         sac::relax_kernel(bordered, c));
+        expect_same_bits(
+            force(sac::ewise(
+                v, sac::StencilExpr(sac::lazy_periodic_border(a), c),
+                std::minus<>{})),
+            force(sac::ewise(v, sac::StencilExpr(bordered, c),
+                             std::minus<>{})));
+      }
+    }
+  }
+}
+
+TEST_P(BorderFold, GridTransfersMatchTheBorderedArgument) {
+  const sac::StencilCoeffs p{{1.0 / 2.0, 1.0 / 4.0, 1.0 / 8.0, 1.0 / 16.0}};
+  for (const extent_t n : {4, 6, 10, 18, 34}) {
+    const auto a = random_extended(cube_shape(3, n), 23);
+    const auto bordered = MgSac::setup_periodic_border(a);
+    for (const std::int64_t cutover : {std::int64_t{0}, std::int64_t{18}}) {
+      sac::ScopedConfig guard(config_for(cutover, false));
+      SCOPED_TRACE(::testing::Message() << "cutover " << cutover << " n " << n);
+      // rprj3: the P stencil at the condensed points, embedded.
+      auto restrict = [&](auto arg) {
+        auto rc = sac::lazy_condense(2, sac::StencilExpr(std::move(arg), p));
+        const IndexVec coarse = rc.shape().extents() + 1;
+        return force(sac::lazy_embed(coarse, 0 * coarse, std::move(rc)));
+      };
+      expect_same_bits(restrict(sac::lazy_periodic_border(a)),
+                       restrict(bordered));
+      // interp: the scatter (+ take) of the coarse grid.
+      auto prolong = [&](auto arg) {
+        return force(sac::lazy_take(2 * a.shape().extents() - 2,
+                                    sac::lazy_scatter(2, std::move(arg))));
+      };
+      expect_same_bits(prolong(sac::lazy_periodic_border(a)),
+                       prolong(bordered));
+    }
+  }
+}
+
+std::string fold_case_name(const ::testing::TestParamInfo<FoldCase>& info) {
+  std::string name = sac::stencil_mode_name(info.param.mode);
+  name += '_';
+  for (const char ch : std::string(sac::backend_name(info.param.backend))) {
+    name += ch == '-' ? '_' : ch;
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndEngines, BorderFold,
+    ::testing::Values(
+        FoldCase{sac::StencilMode::kGrouped, sac::BackendKind::kScalar},
+        FoldCase{sac::StencilMode::kGrouped, sac::BackendKind::kSimd},
+        FoldCase{sac::StencilMode::kNaive, sac::BackendKind::kScalar},
+        FoldCase{sac::StencilMode::kNaive, sac::BackendKind::kSimd},
+        FoldCase{sac::StencilMode::kPlanes, sac::BackendKind::kScalar},
+        FoldCase{sac::StencilMode::kPlanes, sac::BackendKind::kSimd},
+        FoldCase{sac::StencilMode::kPlanes, sac::BackendKind::kSimdPortable}),
+    fold_case_name);
+
+TEST(BorderFoldSolver, CopiesNoGrid) {
+  // Two iterations on a 16^3 grid: the folded path reads every ghost layer
+  // through the wrap, so no shared grid is copied on write.
+  const MgSpec spec = MgSpec::custom(16, 1);
+  const MgSac mg(spec);
+  const auto v = MgSac::setup_periodic_border(
+      random_extended(cube_shape(3, 18), 24));
+  sac::SacConfig cfg = sac::config();
+  cfg.folding = true;
+  sac::ScopedConfig guard(cfg);
+  const std::uint64_t before = sac::stats().copies_on_write;
+  (void)mg.mgrid(v, 2);
+  EXPECT_EQ(static_cast<std::uint64_t>(sac::stats().copies_on_write), before);
+}
+
 class MgSacOps : public ::testing::Test {
  protected:
   MgSpec spec_ = MgSpec::custom(8, 1);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -78,17 +79,32 @@ TEST(FlightRecorder, DumpEmbedsSpansTracesAndProviderState) {
   clear_retained_traces();
 }
 
+// The rate limit reads this stepped clock, not the wall clock.
+std::int64_t g_fake_now_ns = 0;
+
 TEST(FlightRecorder, DumpsAreRateLimitedUnlessForced) {
   const std::string path = unique_dump_path("ratelimit");
   flight_configure(path);
+  flight_set_clock([] { return g_fake_now_ns; });
+  g_fake_now_ns = 5'000'000'000;
   ASSERT_TRUE(flight_dump("first", /*force=*/true));
   // Within the 1s window an unforced dump is suppressed (a storm of
   // deadline misses must not thrash the disk) ...
+  g_fake_now_ns += 999'999'999;
   EXPECT_FALSE(flight_dump("suppressed"));
   // ... but an operator-forced dump still lands, and refreshes the file.
   ASSERT_TRUE(flight_dump("forced-second", /*force=*/true));
   EXPECT_NE(slurp(path).find("\"reason\":\"forced-second\""),
             std::string::npos);
+  // The forced dump restarted the window; once it has passed, an unforced
+  // dump lands again.
+  g_fake_now_ns += 999'999'999;
+  EXPECT_FALSE(flight_dump("still-suppressed"));
+  g_fake_now_ns += 1;
+  ASSERT_TRUE(flight_dump("after-window"));
+  EXPECT_NE(slurp(path).find("\"reason\":\"after-window\""),
+            std::string::npos);
+  flight_set_clock(nullptr);
   flight_configure("");
 }
 

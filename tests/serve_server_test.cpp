@@ -58,6 +58,16 @@ double serial_norm(sac::StencilMode mode) {
   return mg::run_benchmark(mg::Variant::kSacDirect, spec, opts).final_norm;
 }
 
+// A request that names no engine runs the path a local run takes from the
+// defaults: SolveRequest derives its stencil mode and row engine from
+// SacConfig{} instead of restating them.
+TEST(ServeServer, RequestDefaultsToSacConfigEngines) {
+  const SolveRequest req;
+  const sac::SacConfig defaults;
+  EXPECT_EQ(req.stencil_mode, defaults.stencil_mode);
+  EXPECT_EQ(req.backend, defaults.backend);
+}
+
 TEST(ServeServer, SolvesAndVerifiesClassS) {
   SolverService service(small_config(2, 2));
   std::future<SolveResult> future = service.submit(class_s_request(7));
