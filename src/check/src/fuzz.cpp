@@ -342,18 +342,10 @@ bool rows_equal(const std::vector<double>& a, const std::vector<double>& b) {
   return true;
 }
 
-// Every engine present on this host, scalar first (the reference).
-std::vector<const sac::Backend*> fuzz_engines() {
-  std::vector<const sac::Backend*> v{&sac::detail::scalar_backend(),
-                                     &sac::detail::portable_backend()};
-  if (sac::detail::avx2_backend() != nullptr) {
-    v.push_back(sac::detail::avx2_backend());
-  }
-  if (sac::detail::avx512_backend() != nullptr) {
-    v.push_back(sac::detail::avx512_backend());
-  }
-  return v;
-}
+// NPB's residual operator `a`: non-dyadic, so a contracted FMA rounds
+// differently from mul + add and shows up as a bit mismatch.
+constexpr sac::StencilCoeffs kFuzzCoeffs{
+    {-8.0 / 3.0, 0.0, 1.0 / 6.0, 1.0 / 12.0}};
 
 // One round of raw-primitive differential checks on a random row config.
 void fuzz_primitives(Rng& rng, const std::vector<const sac::Backend*>& engines,
@@ -406,18 +398,17 @@ void fuzz_primitives(Rng& rng, const std::vector<const sac::Backend*>& engines,
     const auto uc = fuzz_row(rng, nz);
     const auto u1 = fuzz_row(rng, nz);
     const auto u2 = fuzz_row(rng, nz);
-    const double c[4] = {-0.5, 0.125, 0.0625, 0.03125};
     extent_t clo = rng.range(1, n - 1), chi = rng.range(1, n - 1);
     if (chi < clo) std::swap(clo, chi);
     std::vector<std::vector<double>> comb(engines.size()),
         accr(engines.size());
     for (std::size_t e = 0; e < engines.size(); ++e) {
       comb[e].assign(nz, -77.0);
-      engines[e]->combine_row(c, uc.data(), u1.data(), u2.data(),
-                              comb[e].data(), clo, chi);
+      engines[e]->combine_row(kFuzzCoeffs.c.data(), uc.data(), u1.data(),
+                              u2.data(), comb[e].data(), clo, chi);
       accr[e] = b;
-      engines[e]->accumulate_row(c, uc.data(), u1.data(), u2.data(),
-                                 accr[e].data(), clo, chi);
+      engines[e]->accumulate_row(kFuzzCoeffs.c.data(), uc.data(), u1.data(),
+                                 u2.data(), accr[e].data(), clo, chi);
       stats->rows_checked += 1;
       if (e > 0 && (!rows_equal(comb[e], comb[0]) ||
                     !rows_equal(accr[e], accr[0]))) {
@@ -546,7 +537,6 @@ void fuzz_degenerate_stencils(Rng& rng, BackendFuzzStats* stats) {
         return static_cast<double>((lin * 2654435761ULL + salt) % 1000) /
                997.0;
       });
-  sac::StencilCoeffs c{{-0.5, 0.125, 0.0625, 0.03125}};
   sac::SacConfig cfg = sac::config();
   cfg.stencil_planes_cutover = 0;
   cfg.stencil_mode = sac::StencilMode::kPlanes;
@@ -556,7 +546,7 @@ void fuzz_degenerate_stencils(Rng& rng, BackendFuzzStats* stats) {
     sac::SacConfig scalar_cfg = sac::config();
     scalar_cfg.backend = sac::BackendKind::kScalar;
     sac::ScopedConfig scalar_guard(scalar_cfg);
-    ref = sac::relax_kernel(a, c, sac::StencilMode::kPlanes);
+    ref = sac::relax_kernel(a, kFuzzCoeffs, sac::StencilMode::kPlanes);
   }
   for (const sac::BackendKind kind :
        {sac::BackendKind::kSimd, sac::BackendKind::kSimdPortable}) {
@@ -564,7 +554,7 @@ void fuzz_degenerate_stencils(Rng& rng, BackendFuzzStats* stats) {
     k_cfg.backend = kind;
     sac::ScopedConfig k_guard(k_cfg);
     const sac::Array<double> got =
-        sac::relax_kernel(a, c, sac::StencilMode::kPlanes);
+        sac::relax_kernel(a, kFuzzCoeffs, sac::StencilMode::kPlanes);
     stats->exprs_checked += 1;
     bool ok = true;
     for (extent_t i = 0; ok && i < got.elem_count(); ++i) {
@@ -580,7 +570,10 @@ void fuzz_degenerate_stencils(Rng& rng, BackendFuzzStats* stats) {
 BackendFuzzStats fuzz_backend_rows(std::uint64_t seed, int rounds) {
   Rng rng{seed | 1};
   BackendFuzzStats stats;
-  const auto engines = fuzz_engines();
+  // Every engine present on this host, scalar first (the reference).
+  std::vector<const sac::Backend*> engines{&sac::detail::scalar_backend()};
+  const auto vec = sac::detail::vector_backends();
+  engines.insert(engines.end(), vec.begin(), vec.end());
   for (int r = 0; r < rounds; ++r) {
     fuzz_primitives(rng, engines, &stats);
     fuzz_gather_rows(rng, &stats);

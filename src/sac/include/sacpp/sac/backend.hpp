@@ -9,7 +9,8 @@
 // dispatches through the interface instead of open-coding the loops, so a
 // vectorized engine slots in without touching the array system
 // (docs/backends.md).  Four engines ship: scalar (the reference), portable
-// 4-wide, AVX2 and AVX-512.
+// 4-wide, AVX2 and AVX-512.  The three vector engines are one source of
+// plain loops compiled once per target ISA (backend_simd.cpp).
 //
 // Semantics contract (what makes cross-backend differential testing work):
 //  * Element-parallel primitives — fills, plane sums, stencil combines,
@@ -21,19 +22,19 @@
 //    goes to lane `n % 4`) combined in a fixed left-to-right order after
 //    the row.  Results differ from kScalar only by rounding (tests pin
 //    1e-12), but are identical across every vectorized engine: portable,
-//    AVX2 and AVX-512 all perform the same 4-lane arithmetic (none emits
-//    FMA; the wider engines keep their folds at 4 lanes), so kSimd folds
-//    are bit-identical across hosts.
-//  * Tail handling is masked, never special-cased: a partial final vector
-//    processes only the live lanes (folds feed masked lanes the neutral
-//    element 0.0, exact for both sum-of-squares and max-abs).  No row
-//    length or sub-range may take a different code path that changes
-//    results.
+//    AVX2 and AVX-512 all run one shared 4-lane fold, so kSimd folds are
+//    bit-identical across hosts.
+//  * No engine emits FMA: both engine files build with -ffp-contract=off.
+//  * Tails run the same per-element expression as the vector body, so no
+//    row length, alignment or sub-range changes results (fold tails feed
+//    their dead lanes the neutral element 0.0, exact for both
+//    sum-of-squares and max-abs).
 //
 // Backends are stateless singletons; a const Backend& is safe to use from
 // any thread concurrently.
 
 #include <cstddef>
+#include <vector>
 
 #include "sacpp/common/shape.hpp"
 #include "sacpp/sac/config.hpp"
@@ -164,6 +165,9 @@ const Backend& portable_backend() noexcept;
 // nullptr when the CPU lacks the instruction set.
 const Backend* avx2_backend() noexcept;
 const Backend* avx512_backend() noexcept;
+// Every vector engine this host can run: portable, then AVX2 and AVX-512
+// where the CPU has them.
+std::vector<const Backend*> vector_backends();
 }  // namespace detail
 
 }  // namespace sacpp::sac

@@ -2,7 +2,9 @@
 // behind the Backend interface.  This is the bit-exact reference the
 // differential battery (tests/sac_backend_test.cpp) pins every other
 // backend against — the loops must keep the exact association order the
-// pinned goldens were generated with, so do not "optimise" them here.
+// pinned goldens were generated with, so do not "optimise" them here.  The
+// build pins -ffp-contract=off on this file, so an FMA-capable -march
+// cannot fuse their multiply-adds either.
 
 #include <algorithm>
 #include <cmath>

@@ -1,124 +1,89 @@
-// The kSimd engines: AVX-512 and AVX2 row engines plus the 4-wide portable
-// fallback.
+// The kSimd engines: the portable 4-wide engine plus AVX2 and AVX-512.
 //
-// All are compiled unconditionally — the vector functions carry
-// __attribute__((target("avx2"))) / target("avx512f,avx512dq,avx512vl") so
-// the translation unit builds at the baseline -march, and backend.cpp
-// dispatches at runtime via CPUID (widest first).  The engines are
-// bit-identical to each other by construction:
-//  * element-parallel primitives keep the scalar association order per
-//    element (so they are bit-identical to kScalar too), whether they run
-//    4 or 8 lanes at a time;
-//  * folds use the same fixed 4-lane structure in every engine (element
-//    lo+n lands in lane n%4, masked tail lanes contribute the neutral 0.0)
-//    and the same horizontal combine ((l0+l1)+l2)+l3 — the AVX-512 engine
-//    deliberately folds through the portable 4-lane code rather than 8
-//    zmm lanes, so kSimd fold results do not depend on the host CPU;
-//  * no FMA: explicit mul/add intrinsics, and the build pins
-//    -ffp-contract=off on this file (AVX-512 brings zmm FMA into the ISA,
-//    so the target attribute alone would no longer prevent contraction).
-// Tail handling is masked (maskload/maskstore/AVX-512 mask registers),
-// never a separate code path: masked lanes are architecturally not
-// accessed, so reading a partial vector at the end of a row cannot fault
-// or trip ASan.
+// All three are one source.  The element-parallel kernels (fill, plane
+// sums, combine/accumulate, add/sub/mul_into) live in
+// backend_simd_kernels.inc, which this file includes once at the baseline
+// ISA and once under each target pragma; the compiler vectorizes the same
+// loops at the width the target allows.  The translation unit therefore
+// builds at the baseline -march (no per-file -mavx flags, whose inline std
+// code could be the copy the linker keeps and fault on older CPUs), and
+// backend.cpp dispatches at runtime via CPUID (widest first).  The engines
+// are bit-identical to each other by construction:
+//  * element-parallel kernels keep the scalar association order per
+//    element (so they are bit-identical to kScalar too), whatever width
+//    the vectorizer picks and however it peels or finishes a row: the
+//    prologue and epilogue iterations run the same per-element expression;
+//  * folds are written out in the fixed 4-lane structure (element lo+n
+//    lands in lane n%4, combined ((l0+l1)+l2)+l3) and compiled once at the
+//    baseline ISA, shared by every engine, so kSimd fold results do not
+//    depend on the host CPU;
+//  * no FMA: the build pins -ffp-contract=off on this file (AVX-512 brings
+//    FMA into the ISA, so the target alone would not prevent contraction).
+//
+// Copy, gather, scatter and the folds stay outside the target regions and
+// are called through the engine glue (VectorBackend, also baseline code):
+// inlined into an AVX-512 kernel, the strided gather would be re-vectorized
+// into a slower vgatherqpd loop.
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define SACPP_HAVE_AVX2_TARGET 1
-#define SACPP_HAVE_AVX512_TARGET 1
-#endif
 
 #include "sacpp/sac/backend.hpp"
 
 namespace sacpp::sac {
 namespace {
 
-// -- shared element-parallel loops (association order == kScalar) ------------
+namespace portable {
+#include "backend_simd_kernels.inc"
+}  // namespace portable
 
-void fill_row_generic(double* out, extent_t lo, extent_t hi, double v) {
-  std::fill(out + lo, out + hi, v);
-}
+#if defined(__x86_64__) || defined(__i386__)
+#define SACPP_HAVE_X86_TARGETS 1
 
-void copy_row_generic(double* out, const double* src, extent_t lo,
-                      extent_t hi) {
+#pragma GCC push_options
+#pragma GCC target("avx2")
+namespace avx2 {
+#include "backend_simd_kernels.inc"
+}  // namespace avx2
+#pragma GCC pop_options
+
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx512dq,avx512vl,prefer-vector-width=512")
+namespace avx512 {
+#include "backend_simd_kernels.inc"
+}  // namespace avx512
+#pragma GCC pop_options
+
+#endif
+
+// -- shared rows (baseline ISA, every engine) --------------------------------
+
+void copy_row_shared(double* out, const double* src, extent_t lo,
+                     extent_t hi) {
   if (hi > lo) {
     std::memcpy(out + lo, src,
                 static_cast<std::size_t>(hi - lo) * sizeof(double));
   }
 }
 
-void plane_sums_generic(const double* im, const double* ip, const double* jm,
-                        const double* jp, const double* imm,
-                        const double* imp, const double* ipm,
-                        const double* ipp, double* u1, double* u2,
-                        extent_t n) {
-  const double* __restrict rim = im;
-  const double* __restrict rip = ip;
-  const double* __restrict rjm = jm;
-  const double* __restrict rjp = jp;
-  const double* __restrict rimm = imm;
-  const double* __restrict rimp = imp;
-  const double* __restrict ripm = ipm;
-  const double* __restrict ripp = ipp;
-  double* __restrict w1 = u1;
-  double* __restrict w2 = u2;
-  for (extent_t k = 0; k < n; ++k) {
-    w1[k] = ((rim[k] + rip[k]) + rjm[k]) + rjp[k];
-    w2[k] = ((rimm[k] + rimp[k]) + ripm[k]) + ripp[k];
-  }
-}
-
-void combine_row_generic(const double* c, const double* uc, const double* u1,
-                         const double* u2, double* out, extent_t lo,
-                         extent_t hi) {
-  const double* __restrict rc = uc;
-  const double* __restrict r1 = u1;
-  const double* __restrict r2 = u2;
-  double* __restrict o = out;
-  for (extent_t k = lo; k < hi; ++k) {
-    o[k] = c[0] * rc[k] + c[1] * ((r1[k] + rc[k - 1]) + rc[k + 1]) +
-           c[2] * ((r2[k] + r1[k - 1]) + r1[k + 1]) +
-           c[3] * (r2[k - 1] + r2[k + 1]);
-  }
-}
-
-void accumulate_row_generic(const double* c, const double* uc,
-                            const double* u1, const double* u2, double* out,
-                            extent_t lo, extent_t hi) {
-  const double* __restrict rc = uc;
-  const double* __restrict r1 = u1;
-  const double* __restrict r2 = u2;
-  double* __restrict o = out;
-  for (extent_t k = lo; k < hi; ++k) {
-    o[k] += c[0] * rc[k] + c[1] * ((r1[k] + rc[k - 1]) + rc[k + 1]) +
-            c[2] * ((r2[k] + r1[k - 1]) + r1[k + 1]) +
-            c[3] * (r2[k - 1] + r2[k + 1]);
-  }
-}
-
-void gather_row_generic(double* out, const double* src, extent_t stride,
-                        extent_t n) {
+void gather_row_shared(double* out, const double* src, extent_t stride,
+                       extent_t n) {
   for (extent_t t = 0; t < n; ++t) out[t] = src[t * stride];
 }
 
-void scatter_row_generic(double* out, extent_t stride, const double* src,
-                         extent_t n) {
+void scatter_row_shared(double* out, extent_t stride, const double* src,
+                        extent_t n) {
   for (extent_t t = 0; t < n; ++t) out[t * stride] = src[t];
 }
 
-// -- portable 4-wide folds (the lane contract of the header) -----------------
-//
-// max lane combine matches the AVX2 maxpd operand order exactly:
-// maxpd(a, b) = (a > b) ? a : b, second operand on ties/NaN.
+// The 4-lane folds (the lane contract of the header).  A tail's live lanes
+// take their element; dead lanes keep the neutral 0.0.  The max combine is
+// (a > b) ? a : b, the second operand on ties and NaN.
 
 inline double lane_max(double a, double b) { return a > b ? a : b; }
 
-double sum_sq_row_portable(double acc, const double* p, extent_t lo,
-                           extent_t hi) {
+double sum_sq_row_shared(double acc, const double* p, extent_t lo,
+                         extent_t hi) {
   double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
   extent_t k = lo;
   for (; k + 4 <= hi; k += 4) {
@@ -127,16 +92,14 @@ double sum_sq_row_portable(double acc, const double* p, extent_t lo,
     l2 = l2 + p[k + 2] * p[k + 2];
     l3 = l3 + p[k + 3] * p[k + 3];
   }
-  // Masked tail: live lanes take their element, dead lanes add the fold's
-  // neutral 0.0 (a no-op on the non-negative lane sums).
   if (k < hi) l0 = l0 + p[k] * p[k];
   if (k + 1 < hi) l1 = l1 + p[k + 1] * p[k + 1];
   if (k + 2 < hi) l2 = l2 + p[k + 2] * p[k + 2];
   return acc + (((l0 + l1) + l2) + l3);
 }
 
-double max_abs_row_portable(double acc, const double* p, extent_t lo,
-                            extent_t hi) {
+double max_abs_row_shared(double acc, const double* p, extent_t lo,
+                          extent_t hi) {
   double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
   extent_t k = lo;
   for (; k + 4 <= hi; k += 4) {
@@ -151,577 +114,90 @@ double max_abs_row_portable(double acc, const double* p, extent_t lo,
   return lane_max(lane_max(lane_max(lane_max(acc, l0), l1), l2), l3);
 }
 
-#ifdef SACPP_HAVE_AVX2_TARGET
-
-// -- AVX2 kernels ------------------------------------------------------------
-
-// Mask with the low `r` lanes live (r in [1, 3]) for maskload/maskstore.
-__attribute__((target("avx2"))) inline __m256i tail_mask(extent_t r) {
-  const __m256i idx = _mm256_set_epi64x(3, 2, 1, 0);
-  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(r), idx);
-}
-
-__attribute__((target("avx2"))) void fill_row_avx2(double* out, extent_t lo,
-                                                   extent_t hi, double v) {
-  const __m256d vv = _mm256_set1_pd(v);
-  extent_t k = lo;
-  for (; k + 4 <= hi; k += 4) _mm256_storeu_pd(out + k, vv);
-  if (k < hi) _mm256_maskstore_pd(out + k, tail_mask(hi - k), vv);
-}
-
-__attribute__((target("avx2"))) void plane_sums_avx2(
-    const double* im, const double* ip, const double* jm, const double* jp,
-    const double* imm, const double* imp, const double* ipm,
-    const double* ipp, double* u1, double* u2, extent_t n) {
-  extent_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m256d s1 = _mm256_add_pd(
-        _mm256_add_pd(_mm256_add_pd(_mm256_loadu_pd(im + k),
-                                    _mm256_loadu_pd(ip + k)),
-                      _mm256_loadu_pd(jm + k)),
-        _mm256_loadu_pd(jp + k));
-    const __m256d s2 = _mm256_add_pd(
-        _mm256_add_pd(_mm256_add_pd(_mm256_loadu_pd(imm + k),
-                                    _mm256_loadu_pd(imp + k)),
-                      _mm256_loadu_pd(ipm + k)),
-        _mm256_loadu_pd(ipp + k));
-    _mm256_storeu_pd(u1 + k, s1);
-    _mm256_storeu_pd(u2 + k, s2);
-  }
-  if (k < n) {
-    const __m256i m = tail_mask(n - k);
-    const __m256d s1 = _mm256_add_pd(
-        _mm256_add_pd(_mm256_add_pd(_mm256_maskload_pd(im + k, m),
-                                    _mm256_maskload_pd(ip + k, m)),
-                      _mm256_maskload_pd(jm + k, m)),
-        _mm256_maskload_pd(jp + k, m));
-    const __m256d s2 = _mm256_add_pd(
-        _mm256_add_pd(_mm256_add_pd(_mm256_maskload_pd(imm + k, m),
-                                    _mm256_maskload_pd(imp + k, m)),
-                      _mm256_maskload_pd(ipm + k, m)),
-        _mm256_maskload_pd(ipp + k, m));
-    _mm256_maskstore_pd(u1 + k, m, s1);
-    _mm256_maskstore_pd(u2 + k, m, s2);
-  }
-}
-
-// r(k) for four consecutive k: the exact scalar association
-//   (((c0*uc + c1*t1) + c2*t2) + c3*t3)
-// with t1 = (u1[k] + uc[k-1]) + uc[k+1], etc.
-__attribute__((target("avx2"))) inline __m256d combine_block(
-    const __m256d c0, const __m256d c1, const __m256d c2, const __m256d c3,
-    const __m256d uck, const __m256d ucm, const __m256d ucp,
-    const __m256d u1k, const __m256d u1m, const __m256d u1p,
-    const __m256d u2k, const __m256d u2m, const __m256d u2p) {
-  const __m256d t1 = _mm256_add_pd(_mm256_add_pd(u1k, ucm), ucp);
-  const __m256d t2 = _mm256_add_pd(_mm256_add_pd(u2k, u1m), u1p);
-  const __m256d t3 = _mm256_add_pd(u2m, u2p);
-  return _mm256_add_pd(
-      _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(c0, uck),
-                                  _mm256_mul_pd(c1, t1)),
-                    _mm256_mul_pd(c2, t2)),
-      _mm256_mul_pd(c3, t3));
-}
-
-__attribute__((target("avx2"))) void combine_row_avx2(
-    const double* c, const double* uc, const double* u1, const double* u2,
-    double* out, extent_t lo, extent_t hi, bool accumulate) {
-  const __m256d c0 = _mm256_set1_pd(c[0]);
-  const __m256d c1 = _mm256_set1_pd(c[1]);
-  const __m256d c2 = _mm256_set1_pd(c[2]);
-  const __m256d c3 = _mm256_set1_pd(c[3]);
-  extent_t k = lo;
-  // 2x unrolled main loop: two independent 4-wide blocks per iteration give
-  // the out-of-order core parallel add chains to overlap.  Per-element
-  // arithmetic is untouched, so results stay bit-identical to the rolled
-  // loop (and to scalar).
-  for (; k + 8 <= hi; k += 8) {
-    const __m256d ra = combine_block(
-        c0, c1, c2, c3, _mm256_loadu_pd(uc + k), _mm256_loadu_pd(uc + k - 1),
-        _mm256_loadu_pd(uc + k + 1), _mm256_loadu_pd(u1 + k),
-        _mm256_loadu_pd(u1 + k - 1), _mm256_loadu_pd(u1 + k + 1),
-        _mm256_loadu_pd(u2 + k), _mm256_loadu_pd(u2 + k - 1),
-        _mm256_loadu_pd(u2 + k + 1));
-    const __m256d rb = combine_block(
-        c0, c1, c2, c3, _mm256_loadu_pd(uc + k + 4),
-        _mm256_loadu_pd(uc + k + 3), _mm256_loadu_pd(uc + k + 5),
-        _mm256_loadu_pd(u1 + k + 4), _mm256_loadu_pd(u1 + k + 3),
-        _mm256_loadu_pd(u1 + k + 5), _mm256_loadu_pd(u2 + k + 4),
-        _mm256_loadu_pd(u2 + k + 3), _mm256_loadu_pd(u2 + k + 5));
-    if (accumulate) {
-      _mm256_storeu_pd(out + k, _mm256_add_pd(_mm256_loadu_pd(out + k), ra));
-      _mm256_storeu_pd(out + k + 4,
-                       _mm256_add_pd(_mm256_loadu_pd(out + k + 4), rb));
-    } else {
-      _mm256_storeu_pd(out + k, ra);
-      _mm256_storeu_pd(out + k + 4, rb);
-    }
-  }
-  for (; k + 4 <= hi; k += 4) {
-    const __m256d r = combine_block(
-        c0, c1, c2, c3, _mm256_loadu_pd(uc + k), _mm256_loadu_pd(uc + k - 1),
-        _mm256_loadu_pd(uc + k + 1), _mm256_loadu_pd(u1 + k),
-        _mm256_loadu_pd(u1 + k - 1), _mm256_loadu_pd(u1 + k + 1),
-        _mm256_loadu_pd(u2 + k), _mm256_loadu_pd(u2 + k - 1),
-        _mm256_loadu_pd(u2 + k + 1));
-    if (accumulate) {
-      _mm256_storeu_pd(out + k, _mm256_add_pd(_mm256_loadu_pd(out + k), r));
-    } else {
-      _mm256_storeu_pd(out + k, r);
-    }
-  }
-  if (k < hi) {
-    const __m256i m = tail_mask(hi - k);
-    const __m256d r = combine_block(
-        c0, c1, c2, c3, _mm256_maskload_pd(uc + k, m),
-        _mm256_maskload_pd(uc + k - 1, m), _mm256_maskload_pd(uc + k + 1, m),
-        _mm256_maskload_pd(u1 + k, m), _mm256_maskload_pd(u1 + k - 1, m),
-        _mm256_maskload_pd(u1 + k + 1, m), _mm256_maskload_pd(u2 + k, m),
-        _mm256_maskload_pd(u2 + k - 1, m), _mm256_maskload_pd(u2 + k + 1, m));
-    if (accumulate) {
-      _mm256_maskstore_pd(
-          out + k, m, _mm256_add_pd(_mm256_maskload_pd(out + k, m), r));
-    } else {
-      _mm256_maskstore_pd(out + k, m, r);
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void ewise_into_row_avx2(const double* a,
-                                                         double* out,
-                                                         extent_t lo,
-                                                         extent_t hi,
-                                                         int op) {
-  extent_t k = lo;
-  for (; k + 4 <= hi; k += 4) {
-    const __m256d av = _mm256_loadu_pd(a + k);
-    const __m256d ov = _mm256_loadu_pd(out + k);
-    const __m256d r = op == 0   ? _mm256_add_pd(av, ov)
-                      : op == 1 ? _mm256_sub_pd(av, ov)
-                                : _mm256_mul_pd(av, ov);
-    _mm256_storeu_pd(out + k, r);
-  }
-  if (k < hi) {
-    const __m256i m = tail_mask(hi - k);
-    const __m256d av = _mm256_maskload_pd(a + k, m);
-    const __m256d ov = _mm256_maskload_pd(out + k, m);
-    const __m256d r = op == 0   ? _mm256_add_pd(av, ov)
-                      : op == 1 ? _mm256_sub_pd(av, ov)
-                                : _mm256_mul_pd(av, ov);
-    _mm256_maskstore_pd(out + k, m, r);
-  }
-}
-
-// Fixed horizontal combine shared by both folds: lane order l0..l3.
-__attribute__((target("avx2"))) inline void extract_lanes(const __m256d v,
-                                                          double* l) {
-  const __m128d lo2 = _mm256_castpd256_pd128(v);
-  const __m128d hi2 = _mm256_extractf128_pd(v, 1);
-  l[0] = _mm_cvtsd_f64(lo2);
-  l[1] = _mm_cvtsd_f64(_mm_unpackhi_pd(lo2, lo2));
-  l[2] = _mm_cvtsd_f64(hi2);
-  l[3] = _mm_cvtsd_f64(_mm_unpackhi_pd(hi2, hi2));
-}
-
-__attribute__((target("avx2"))) double sum_sq_row_avx2(double acc,
-                                                       const double* p,
-                                                       extent_t lo,
-                                                       extent_t hi) {
-  __m256d accv = _mm256_setzero_pd();
-  extent_t k = lo;
-  for (; k + 4 <= hi; k += 4) {
-    const __m256d x = _mm256_loadu_pd(p + k);
-    accv = _mm256_add_pd(accv, _mm256_mul_pd(x, x));
-  }
-  if (k < hi) {
-    // Masked lanes load 0.0, square to 0.0 and add the neutral element —
-    // the same dead-lane contribution the portable engine makes.
-    const __m256d x = _mm256_maskload_pd(p + k, tail_mask(hi - k));
-    accv = _mm256_add_pd(accv, _mm256_mul_pd(x, x));
-  }
-  double l[4];
-  extract_lanes(accv, l);
-  return acc + (((l[0] + l[1]) + l[2]) + l[3]);
-}
-
-__attribute__((target("avx2"))) double max_abs_row_avx2(double acc,
-                                                        const double* p,
-                                                        extent_t lo,
-                                                        extent_t hi) {
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  __m256d accv = _mm256_setzero_pd();
-  extent_t k = lo;
-  for (; k + 4 <= hi; k += 4) {
-    accv = _mm256_max_pd(accv,
-                         _mm256_andnot_pd(sign, _mm256_loadu_pd(p + k)));
-  }
-  if (k < hi) {
-    const __m256d x = _mm256_maskload_pd(p + k, tail_mask(hi - k));
-    accv = _mm256_max_pd(accv, _mm256_andnot_pd(sign, x));
-  }
-  double l[4];
-  extract_lanes(accv, l);
-  double r = acc;
-  r = r > l[0] ? r : l[0];
-  r = r > l[1] ? r : l[1];
-  r = r > l[2] ? r : l[2];
-  r = r > l[3] ? r : l[3];
-  return r;
-}
-
-#endif  // SACPP_HAVE_AVX2_TARGET
-
-#ifdef SACPP_HAVE_AVX512_TARGET
-
-// -- AVX-512 kernels ---------------------------------------------------------
-//
-// 8-wide versions of the element-parallel primitives only.  Folds are NOT
-// widened: the backend contract fixes the 4-lane fold structure, so the
-// AVX-512 engine routes sum_sq/max_abs through the portable code.
-
-#define SACPP_AVX512_TARGET \
-  __attribute__((target("avx512f,avx512dq,avx512vl")))
-
-// Mask with the low `r` lanes live (r in [1, 7]).
-SACPP_AVX512_TARGET inline __mmask8 tail_mask8(extent_t r) {
-  return static_cast<__mmask8>((1u << r) - 1u);
-}
-
-SACPP_AVX512_TARGET void fill_row_avx512(double* out, extent_t lo,
-                                         extent_t hi, double v) {
-  const __m512d vv = _mm512_set1_pd(v);
-  extent_t k = lo;
-  for (; k + 8 <= hi; k += 8) _mm512_storeu_pd(out + k, vv);
-  if (k < hi) _mm512_mask_storeu_pd(out + k, tail_mask8(hi - k), vv);
-}
-
-SACPP_AVX512_TARGET void plane_sums_avx512(
-    const double* im, const double* ip, const double* jm, const double* jp,
-    const double* imm, const double* imp, const double* ipm,
-    const double* ipp, double* u1, double* u2, extent_t n) {
-  extent_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    const __m512d s1 = _mm512_add_pd(
-        _mm512_add_pd(_mm512_add_pd(_mm512_loadu_pd(im + k),
-                                    _mm512_loadu_pd(ip + k)),
-                      _mm512_loadu_pd(jm + k)),
-        _mm512_loadu_pd(jp + k));
-    const __m512d s2 = _mm512_add_pd(
-        _mm512_add_pd(_mm512_add_pd(_mm512_loadu_pd(imm + k),
-                                    _mm512_loadu_pd(imp + k)),
-                      _mm512_loadu_pd(ipm + k)),
-        _mm512_loadu_pd(ipp + k));
-    _mm512_storeu_pd(u1 + k, s1);
-    _mm512_storeu_pd(u2 + k, s2);
-  }
-  if (k < n) {
-    const __mmask8 m = tail_mask8(n - k);
-    const __m512d s1 = _mm512_add_pd(
-        _mm512_add_pd(_mm512_add_pd(_mm512_maskz_loadu_pd(m, im + k),
-                                    _mm512_maskz_loadu_pd(m, ip + k)),
-                      _mm512_maskz_loadu_pd(m, jm + k)),
-        _mm512_maskz_loadu_pd(m, jp + k));
-    const __m512d s2 = _mm512_add_pd(
-        _mm512_add_pd(_mm512_add_pd(_mm512_maskz_loadu_pd(m, imm + k),
-                                    _mm512_maskz_loadu_pd(m, imp + k)),
-                      _mm512_maskz_loadu_pd(m, ipm + k)),
-        _mm512_maskz_loadu_pd(m, ipp + k));
-    _mm512_mask_storeu_pd(u1 + k, m, s1);
-    _mm512_mask_storeu_pd(u2 + k, m, s2);
-  }
-}
-
-// Same per-element association as combine_block, eight lanes at a time.
-SACPP_AVX512_TARGET inline __m512d combine_block_avx512(
-    const __m512d c0, const __m512d c1, const __m512d c2, const __m512d c3,
-    const __m512d uck, const __m512d ucm, const __m512d ucp,
-    const __m512d u1k, const __m512d u1m, const __m512d u1p,
-    const __m512d u2k, const __m512d u2m, const __m512d u2p) {
-  const __m512d t1 = _mm512_add_pd(_mm512_add_pd(u1k, ucm), ucp);
-  const __m512d t2 = _mm512_add_pd(_mm512_add_pd(u2k, u1m), u1p);
-  const __m512d t3 = _mm512_add_pd(u2m, u2p);
-  return _mm512_add_pd(
-      _mm512_add_pd(_mm512_add_pd(_mm512_mul_pd(c0, uck),
-                                  _mm512_mul_pd(c1, t1)),
-                    _mm512_mul_pd(c2, t2)),
-      _mm512_mul_pd(c3, t3));
-}
-
-SACPP_AVX512_TARGET void combine_row_avx512(
-    const double* c, const double* uc, const double* u1, const double* u2,
-    double* out, extent_t lo, extent_t hi, bool accumulate) {
-  const __m512d c0 = _mm512_set1_pd(c[0]);
-  const __m512d c1 = _mm512_set1_pd(c[1]);
-  const __m512d c2 = _mm512_set1_pd(c[2]);
-  const __m512d c3 = _mm512_set1_pd(c[3]);
-  extent_t k = lo;
-  for (; k + 8 <= hi; k += 8) {
-    const __m512d r = combine_block_avx512(
-        c0, c1, c2, c3, _mm512_loadu_pd(uc + k), _mm512_loadu_pd(uc + k - 1),
-        _mm512_loadu_pd(uc + k + 1), _mm512_loadu_pd(u1 + k),
-        _mm512_loadu_pd(u1 + k - 1), _mm512_loadu_pd(u1 + k + 1),
-        _mm512_loadu_pd(u2 + k), _mm512_loadu_pd(u2 + k - 1),
-        _mm512_loadu_pd(u2 + k + 1));
-    if (accumulate) {
-      _mm512_storeu_pd(out + k, _mm512_add_pd(_mm512_loadu_pd(out + k), r));
-    } else {
-      _mm512_storeu_pd(out + k, r);
-    }
-  }
-  if (k < hi) {
-    const __mmask8 m = tail_mask8(hi - k);
-    const __m512d r = combine_block_avx512(
-        c0, c1, c2, c3, _mm512_maskz_loadu_pd(m, uc + k),
-        _mm512_maskz_loadu_pd(m, uc + k - 1),
-        _mm512_maskz_loadu_pd(m, uc + k + 1),
-        _mm512_maskz_loadu_pd(m, u1 + k),
-        _mm512_maskz_loadu_pd(m, u1 + k - 1),
-        _mm512_maskz_loadu_pd(m, u1 + k + 1),
-        _mm512_maskz_loadu_pd(m, u2 + k),
-        _mm512_maskz_loadu_pd(m, u2 + k - 1),
-        _mm512_maskz_loadu_pd(m, u2 + k + 1));
-    if (accumulate) {
-      _mm512_mask_storeu_pd(
-          out + k, m,
-          _mm512_add_pd(_mm512_maskz_loadu_pd(m, out + k), r));
-    } else {
-      _mm512_mask_storeu_pd(out + k, m, r);
-    }
-  }
-}
-
-SACPP_AVX512_TARGET void ewise_into_row_avx512(const double* a, double* out,
-                                               extent_t lo, extent_t hi,
-                                               int op) {
-  extent_t k = lo;
-  for (; k + 8 <= hi; k += 8) {
-    const __m512d av = _mm512_loadu_pd(a + k);
-    const __m512d ov = _mm512_loadu_pd(out + k);
-    const __m512d r = op == 0   ? _mm512_add_pd(av, ov)
-                      : op == 1 ? _mm512_sub_pd(av, ov)
-                                : _mm512_mul_pd(av, ov);
-    _mm512_storeu_pd(out + k, r);
-  }
-  if (k < hi) {
-    const __mmask8 m = tail_mask8(hi - k);
-    const __m512d av = _mm512_maskz_loadu_pd(m, a + k);
-    const __m512d ov = _mm512_maskz_loadu_pd(m, out + k);
-    const __m512d r = op == 0   ? _mm512_add_pd(av, ov)
-                      : op == 1 ? _mm512_sub_pd(av, ov)
-                                : _mm512_mul_pd(av, ov);
-    _mm512_mask_storeu_pd(out + k, m, r);
-  }
-}
-
-#undef SACPP_AVX512_TARGET
-
-#endif  // SACPP_HAVE_AVX512_TARGET
-
 // -- engines -----------------------------------------------------------------
 
-class PortableSimdBackend final : public Backend {
+// One engine: the kernels of one target block plus the shared rows.
+template <typename K>
+class VectorBackend final : public Backend {
  public:
-  const char* name() const noexcept override { return "portable"; }
-  unsigned lanes() const noexcept override { return 4; }
+  VectorBackend(const char* name, unsigned lanes) noexcept
+      : name_(name), lanes_(lanes) {}
+
+  const char* name() const noexcept override { return name_; }
+  unsigned lanes() const noexcept override { return lanes_; }
   bool vectorized() const noexcept override { return true; }
 
   void fill_row(double* out, extent_t lo, extent_t hi,
                 double v) const override {
-    fill_row_generic(out, lo, hi, v);
+    K::fill(out, lo, hi, v);
   }
   void copy_row(double* out, const double* src, extent_t lo,
                 extent_t hi) const override {
-    copy_row_generic(out, src, lo, hi);
+    copy_row_shared(out, src, lo, hi);
   }
   void plane_sums(const double* im, const double* ip, const double* jm,
                   const double* jp, const double* imm, const double* imp,
                   const double* ipm, const double* ipp, double* u1,
                   double* u2, extent_t n) const override {
-    plane_sums_generic(im, ip, jm, jp, imm, imp, ipm, ipp, u1, u2, n);
+    K::plane_sums(im, ip, jm, jp, imm, imp, ipm, ipp, u1, u2, n);
   }
   void combine_row(const double* c, const double* uc, const double* u1,
                    const double* u2, double* out, extent_t lo,
                    extent_t hi) const override {
-    combine_row_generic(c, uc, u1, u2, out, lo, hi);
+    K::combine(c, uc, u1, u2, out, lo, hi);
   }
   void accumulate_row(const double* c, const double* uc, const double* u1,
                       const double* u2, double* out, extent_t lo,
                       extent_t hi) const override {
-    accumulate_row_generic(c, uc, u1, u2, out, lo, hi);
+    K::accumulate(c, uc, u1, u2, out, lo, hi);
   }
   void add_into_row(const double* a, double* out, extent_t lo,
                     extent_t hi) const override {
-    for (extent_t k = lo; k < hi; ++k) out[k] = a[k] + out[k];
+    K::add_into(a, out, lo, hi);
   }
   void sub_into_row(const double* a, double* out, extent_t lo,
                     extent_t hi) const override {
-    for (extent_t k = lo; k < hi; ++k) out[k] = a[k] - out[k];
+    K::sub_into(a, out, lo, hi);
   }
   void mul_into_row(const double* a, double* out, extent_t lo,
                     extent_t hi) const override {
-    for (extent_t k = lo; k < hi; ++k) out[k] = a[k] * out[k];
+    K::mul_into(a, out, lo, hi);
   }
   void gather_row(double* out, const double* src, extent_t stride,
                   extent_t n) const override {
-    gather_row_generic(out, src, stride, n);
+    gather_row_shared(out, src, stride, n);
   }
   void scatter_row(double* out, extent_t stride, const double* src,
                    extent_t n) const override {
-    scatter_row_generic(out, stride, src, n);
+    scatter_row_shared(out, stride, src, n);
   }
   double sum_sq_row(double acc, const double* p, extent_t lo,
                     extent_t hi) const override {
-    return sum_sq_row_portable(acc, p, lo, hi);
+    return sum_sq_row_shared(acc, p, lo, hi);
   }
   double max_abs_row(double acc, const double* p, extent_t lo,
                      extent_t hi) const override {
-    return max_abs_row_portable(acc, p, lo, hi);
+    return max_abs_row_shared(acc, p, lo, hi);
   }
+
+ private:
+  const char* name_;
+  unsigned lanes_;
 };
-
-#ifdef SACPP_HAVE_AVX2_TARGET
-
-class Avx2Backend final : public Backend {
- public:
-  const char* name() const noexcept override { return "avx2"; }
-  unsigned lanes() const noexcept override { return 4; }
-  bool vectorized() const noexcept override { return true; }
-
-  void fill_row(double* out, extent_t lo, extent_t hi,
-                double v) const override {
-    fill_row_avx2(out, lo, hi, v);
-  }
-  void copy_row(double* out, const double* src, extent_t lo,
-                extent_t hi) const override {
-    copy_row_generic(out, src, lo, hi);
-  }
-  void plane_sums(const double* im, const double* ip, const double* jm,
-                  const double* jp, const double* imm, const double* imp,
-                  const double* ipm, const double* ipp, double* u1,
-                  double* u2, extent_t n) const override {
-    plane_sums_avx2(im, ip, jm, jp, imm, imp, ipm, ipp, u1, u2, n);
-  }
-  void combine_row(const double* c, const double* uc, const double* u1,
-                   const double* u2, double* out, extent_t lo,
-                   extent_t hi) const override {
-    combine_row_avx2(c, uc, u1, u2, out, lo, hi, /*accumulate=*/false);
-  }
-  void accumulate_row(const double* c, const double* uc, const double* u1,
-                      const double* u2, double* out, extent_t lo,
-                      extent_t hi) const override {
-    combine_row_avx2(c, uc, u1, u2, out, lo, hi, /*accumulate=*/true);
-  }
-  void add_into_row(const double* a, double* out, extent_t lo,
-                    extent_t hi) const override {
-    ewise_into_row_avx2(a, out, lo, hi, 0);
-  }
-  void sub_into_row(const double* a, double* out, extent_t lo,
-                    extent_t hi) const override {
-    ewise_into_row_avx2(a, out, lo, hi, 1);
-  }
-  void mul_into_row(const double* a, double* out, extent_t lo,
-                    extent_t hi) const override {
-    ewise_into_row_avx2(a, out, lo, hi, 2);
-  }
-  void gather_row(double* out, const double* src, extent_t stride,
-                  extent_t n) const override {
-    gather_row_generic(out, src, stride, n);
-  }
-  void scatter_row(double* out, extent_t stride, const double* src,
-                   extent_t n) const override {
-    scatter_row_generic(out, stride, src, n);
-  }
-  double sum_sq_row(double acc, const double* p, extent_t lo,
-                    extent_t hi) const override {
-    return sum_sq_row_avx2(acc, p, lo, hi);
-  }
-  double max_abs_row(double acc, const double* p, extent_t lo,
-                     extent_t hi) const override {
-    return max_abs_row_avx2(acc, p, lo, hi);
-  }
-};
-
-#endif  // SACPP_HAVE_AVX2_TARGET
-
-#ifdef SACPP_HAVE_AVX512_TARGET
-
-class Avx512Backend final : public Backend {
- public:
-  const char* name() const noexcept override { return "avx512"; }
-  unsigned lanes() const noexcept override { return 8; }
-  bool vectorized() const noexcept override { return true; }
-
-  void fill_row(double* out, extent_t lo, extent_t hi,
-                double v) const override {
-    fill_row_avx512(out, lo, hi, v);
-  }
-  void copy_row(double* out, const double* src, extent_t lo,
-                extent_t hi) const override {
-    copy_row_generic(out, src, lo, hi);
-  }
-  void plane_sums(const double* im, const double* ip, const double* jm,
-                  const double* jp, const double* imm, const double* imp,
-                  const double* ipm, const double* ipp, double* u1,
-                  double* u2, extent_t n) const override {
-    plane_sums_avx512(im, ip, jm, jp, imm, imp, ipm, ipp, u1, u2, n);
-  }
-  void combine_row(const double* c, const double* uc, const double* u1,
-                   const double* u2, double* out, extent_t lo,
-                   extent_t hi) const override {
-    combine_row_avx512(c, uc, u1, u2, out, lo, hi, /*accumulate=*/false);
-  }
-  void accumulate_row(const double* c, const double* uc, const double* u1,
-                      const double* u2, double* out, extent_t lo,
-                      extent_t hi) const override {
-    combine_row_avx512(c, uc, u1, u2, out, lo, hi, /*accumulate=*/true);
-  }
-  void add_into_row(const double* a, double* out, extent_t lo,
-                    extent_t hi) const override {
-    ewise_into_row_avx512(a, out, lo, hi, 0);
-  }
-  void sub_into_row(const double* a, double* out, extent_t lo,
-                    extent_t hi) const override {
-    ewise_into_row_avx512(a, out, lo, hi, 1);
-  }
-  void mul_into_row(const double* a, double* out, extent_t lo,
-                    extent_t hi) const override {
-    ewise_into_row_avx512(a, out, lo, hi, 2);
-  }
-  void gather_row(double* out, const double* src, extent_t stride,
-                  extent_t n) const override {
-    gather_row_generic(out, src, stride, n);
-  }
-  void scatter_row(double* out, extent_t stride, const double* src,
-                   extent_t n) const override {
-    scatter_row_generic(out, stride, src, n);
-  }
-  // Folds stay 4-lane (header contract): delegate to the portable shape so
-  // norms do not change when dispatch picks this engine over avx2.
-  double sum_sq_row(double acc, const double* p, extent_t lo,
-                    extent_t hi) const override {
-    return sum_sq_row_portable(acc, p, lo, hi);
-  }
-  double max_abs_row(double acc, const double* p, extent_t lo,
-                     extent_t hi) const override {
-    return max_abs_row_portable(acc, p, lo, hi);
-  }
-};
-
-#endif  // SACPP_HAVE_AVX512_TARGET
 
 }  // namespace
 
 namespace detail {
 
 const Backend& portable_backend() noexcept {
-  static const PortableSimdBackend be;
+  static const VectorBackend<portable::Kernels> be("portable", 4);
   return be;
 }
 
 const Backend* avx2_backend() noexcept {
-#ifdef SACPP_HAVE_AVX2_TARGET
+#ifdef SACPP_HAVE_X86_TARGETS
   if (!cpu_has_avx2()) return nullptr;
-  static const Avx2Backend be;
+  static const VectorBackend<avx2::Kernels> be("avx2", 4);
   return &be;
 #else
   return nullptr;
@@ -729,13 +205,20 @@ const Backend* avx2_backend() noexcept {
 }
 
 const Backend* avx512_backend() noexcept {
-#ifdef SACPP_HAVE_AVX512_TARGET
+#ifdef SACPP_HAVE_X86_TARGETS
   if (!cpu_has_avx512()) return nullptr;
-  static const Avx512Backend be;
+  static const VectorBackend<avx512::Kernels> be("avx512", 8);
   return &be;
 #else
   return nullptr;
 #endif
+}
+
+std::vector<const Backend*> vector_backends() {
+  std::vector<const Backend*> v{&portable_backend()};
+  if (const Backend* be = avx2_backend()) v.push_back(be);
+  if (const Backend* be = avx512_backend()) v.push_back(be);
+  return v;
 }
 
 }  // namespace detail
