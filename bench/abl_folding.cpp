@@ -1,6 +1,7 @@
 // Ablation 3 (DESIGN.md D1) — with-loop folding on the full benchmark and
-// on the grid-transfer microkernel where it matters most (Fine2Coarse
-// evaluates the P stencil at 1/8 of the points when fused).
+// on the grid-transfer microkernels where it matters most (Fine2Coarse
+// evaluates the P stencil at 1/8 of the points when fused; Coarse2Fine
+// reads the coarse grid instead of relaxing a materialised scatter).
 
 #include <cstdio>
 
@@ -56,13 +57,19 @@ int main(int argc, char** argv) {
                              "implementation")
                   .c_str());
 
-  // Microkernel: Fine2Coarse fused vs unfused.
+  // Microkernels, fused vs unfused, both on the same 128^3 fine grid:
+  // Fine2Coarse from it, Coarse2Fine onto it.
   const extent_t n = 130;
   MgSac mg(MgSpec::for_class(MgClass::A));
-  auto r = sac::with_genarray<double>(
-      cube_shape(3, n), sac::rank3_body([](extent_t i, extent_t j, extent_t k) {
-        return 1e-3 * static_cast<double>(i * j + k);
-      }));
+  auto grid = [](extent_t extent) {
+    return sac::with_genarray<double>(
+        cube_shape(3, extent),
+        sac::rank3_body([](extent_t i, extent_t j, extent_t k) {
+          return 1e-3 * static_cast<double>(i * j + k);
+        }));
+  };
+  const auto r = grid(n);
+  const auto z = grid(n / 2 + 1);
   Table micro({"kernel", "mode", "time [ms]"});
   for (bool folding : {false, true}) {
     sac::SacConfig cfg = bench::paper_config();
@@ -76,7 +83,19 @@ int main(int argc, char** argv) {
     micro.add_row({"Fine2Coarse 128^3", folding ? "fused" : "materialised",
                    Table::fmt(t.elapsed_seconds() / 5.0 * 1e3, 2)});
   }
-  std::printf("%s\n", micro.to_ascii("Fine2Coarse microkernel").c_str());
+  for (bool folding : {false, true}) {
+    sac::SacConfig cfg = bench::paper_config();
+    cfg.folding = folding;
+    sac::ScopedConfig guard(cfg);
+    Timer t;
+    for (int i = 0; i < 5; ++i) {
+      auto zf = mg.coarse2fine(z);
+      (void)zf;
+    }
+    micro.add_row({"Coarse2Fine 128^3", folding ? "fused" : "materialised",
+                   Table::fmt(t.elapsed_seconds() / 5.0 * 1e3, 2)});
+  }
+  std::printf("%s\n", micro.to_ascii("Grid-transfer microkernels").c_str());
   table.write_csv(cli.get("csv"));
   return 0;
 }

@@ -13,10 +13,12 @@
 //    scatter, take as separate with-loops);
 //  * folding on (default) — the compositions are fused into single
 //    traversals (with-loop folding): v - A(u) evaluates in one sweep,
-//    Fine2Coarse evaluates the P-stencil only at the condensed points, and
-//    the border setup folds into every consumer (the stencils and the
-//    scatter read the ghost layer through the periodic wrap), so no grid is
-//    re-bordered or copied before a stencil.
+//    Fine2Coarse evaluates the P-stencil only at the condensed points,
+//    Coarse2Fine evaluates the Q-relaxed scatter straight from the coarse
+//    grid (sac::lazy_prolong, no fine scattered grid), and the border setup
+//    folds into every consumer (the stencils and the prolongation read the
+//    ghost layer through the periodic wrap), so no grid is re-bordered or
+//    copied before a stencil.
 // Both paths compute identical values (tests assert this).
 
 #include "sacpp/mg/spec.hpp"
@@ -52,7 +54,8 @@ class MgSac {
   sac::Array<double> fine2coarse(const sac::Array<double>& r) const;
 
   // Paper Fig. 7: Coarse2Fine — border setup, scatter, take, relax with Q.
-  // With folding enabled scatter/take fuse into one traversal.
+  // With folding enabled all four fuse into one traversal that reads the
+  // coarse grid (sac::lazy_prolong), bit-identical to the literal composition.
   sac::Array<double> coarse2fine(const sac::Array<double>& rn) const;
 
   // The current residual  r = v - Resid(u) , fused into one traversal when

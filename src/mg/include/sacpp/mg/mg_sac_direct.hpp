@@ -11,7 +11,9 @@
 //
 // and the V-cycle reads exactly like the mathematical specification of the
 // paper's Fig. 2 — the "even closer to the mathematical specification"
-// claim.  Results are numerically identical to the ghost-layer
+// claim.  With folding on, both run as one with-loop: P at the condensed
+// points only, and Q(scatter(2, z)) straight from the coarse grid
+// (sac::lazy_prolong_periodic), bit-identical to the materialised scatter.  Results are numerically identical to the ghost-layer
 // implementation (tests assert ≤1e-12 relative agreement on every
 // iteration norm, and the interior stencil evaluation is bitwise equal).
 

@@ -126,8 +126,8 @@ Array<double> MgSac::coarse2fine(const Array<double>& rn) const {
 // -- fused forms (with-loop folding on) --------------------------------------
 //
 // The border setup folds into each consumer too: the stencils and the
-// prolongation's scatter read the argument through lazy_periodic_border, so
-// no with-loop rewrites the ghost layer and no shared grid is copied.
+// prolongation read the argument through lazy_periodic_border, so no
+// with-loop rewrites the ghost layer and no shared grid is copied.
 
 Array<double> MgSac::sub_resid_fused(const Array<double>& v,
                                      const Array<double>& u) const {
@@ -165,13 +165,10 @@ Array<double> MgSac::fine2coarse_fused(const Array<double>& r) const {
 }
 
 Array<double> MgSac::coarse2fine_fused(const Array<double>& rn) const {
-  // border + scatter + take fuse into one traversal; the Q-relaxation then
-  // needs the scattered grid materialised (stencils fold only over concrete
-  // arrays — the same profitability constraint sac2c applies).
-  const IndexVec fine_shape = 2 * rn.shape().extents() - 2;
-  Array<double> rt = force(sac::lazy_take(
-      fine_shape, sac::lazy_scatter(2, lazy_periodic_border(rn))));
-  return relax_kernel(rt, spec_.q);
+  // border + scatter + take + Q-relaxation in one traversal of the coarse
+  // grid: the scatter's gaps only add zero terms, so the node reads the
+  // coarse values the relaxation would have met and nothing else.
+  return force(sac::lazy_prolong(lazy_periodic_border(rn), spec_.q));
 }
 
 Array<double> MgSac::residual(const Array<double>& v,

@@ -65,6 +65,10 @@ Array<double> MgSacDirect::fine2coarse(const Array<double>& r) const {
 
 Array<double> MgSacDirect::coarse2fine(const Array<double>& zn) const {
   obs::ScopedSpan span(obs::SpanKind::kKernel, "interp");
+  if (sac::active_config().folding) {
+    // One with-loop over the fine grid reading the coarse one (phase 1).
+    return force(sac::lazy_prolong_periodic(zn, spec_.q));
+  }
   Array<double> scattered = force(sac::lazy_scatter(2, zn, kPhase));
   return relax_kernel_periodic(scattered, spec_.q);
 }

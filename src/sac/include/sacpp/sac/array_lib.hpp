@@ -26,7 +26,7 @@ namespace sacpp::sac {
 // genarray(shp, val): constant array of shape shp.
 template <typename T>
 Array<T> genarray_const(const Shape& shp, T val) {
-  return with_genarray<T>(shp, gen_all(), [val](const IndexVec&) { return val; });
+  return force(scalar_expr(shp, val));
 }
 
 // iota(n): the vector [0, 1, ..., n-1].

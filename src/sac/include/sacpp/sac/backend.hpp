@@ -24,7 +24,7 @@
 //    1e-12), but are identical across every vectorized engine: portable,
 //    AVX2 and AVX-512 all run one shared 4-lane fold, so kSimd folds are
 //    bit-identical across hosts.
-//  * No engine emits FMA: both engine files build with -ffp-contract=off.
+//  * No engine emits FMA: every library file builds with -ffp-contract=off.
 //  * Tails run the same per-element expression as the vector body, so no
 //    row length, alignment or sub-range changes results (fold tails feed
 //    their dead lanes the neutral element 0.0, exact for both

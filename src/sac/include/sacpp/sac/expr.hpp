@@ -149,7 +149,8 @@ struct EwiseUnaryExpr {
   }
 };
 
-// Expression broadcasting one scalar over a shape.
+// Expression broadcasting one scalar over a shape.  Offers the row-fill
+// protocol (detail::RowFillBody), so a rank-3 force stores whole rows.
 template <typename T>
 struct ScalarExpr {
   Shape shp;
@@ -158,13 +159,20 @@ struct ScalarExpr {
   const Shape& shape() const { return shp; }
   T operator()(const IndexVec&) const { return value; }
   T operator()(extent_t, extent_t, extent_t) const { return value; }
+
+  bool row_fill_enabled() const { return true; }
+  int make_row_state() const { return 0; }
+  void fill_row(int&, extent_t, extent_t, T* out, extent_t k_lo,
+                extent_t k_hi) const {
+    std::fill(out + k_lo, out + k_hi, value);
+  }
 };
 
 // SetupPeriodicBorder (paper Fig. 5) as a lazy view of a concrete array: the
 // outermost layer reads through the periodic wrap — on every axis index 0
 // is index n-2 and index n-1 is index 1 — and every other element reads
-// itself.  Folded into its consumer (a StencilExpr, or a GatherExpr such as
-// the prolongation's scatter) it replaces the border with-loop, and the
+// itself.  Folded into its consumer (a StencilExpr, the prolongation's
+// ProlongExpr, or a GatherExpr) it replaces the border with-loop, and the
 // copy-on-write copy of a shared argument, by index arithmetic.  The eager
 // border only copies values, so a consumer reads exactly the values it
 // would have read from the bordered array: folding is bit-identical
@@ -190,15 +198,8 @@ struct PeriodicBorderExpr {
 
   double operator()(extent_t i, extent_t j, extent_t k) const {
     const Shape& shp = a.shape();
-    return row(i, j)[wrap(k, shp[2])];
-  }
-
-  // Stored rank-3 row that position (i, j, .) reads: wrapped on axes 0 and
-  // 1 only, so its first and last elements are the stale ghosts — row
-  // consumers patch those two positions themselves.
-  const double* row(extent_t i, extent_t j) const {
-    const Shape& shp = a.shape();
-    return a.data() + (wrap(i, shp[0]) * shp[1] + wrap(j, shp[1])) * shp[2];
+    return a.data()[(wrap(i, shp[0]) * shp[1] + wrap(j, shp[1])) * shp[2] +
+                    wrap(k, shp[2])];
   }
 };
 
@@ -274,10 +275,8 @@ struct GatherExpr {
   // a strided gather (condense), or a strided scatter into a default-filled
   // row (scatter).  Two inner forms participate:
   //
-  //  (a) inner is a concrete Array<double>, or a PeriodicBorderExpr over
-  //      one (its two wrapped k positions patched after the row move) —
-  //      pure data movement, bitwise identical to per-point evaluation,
-  //      enabled for every backend;
+  //  (a) inner is a concrete Array<double> — pure data movement, bitwise
+  //      identical to per-point evaluation, enabled for every backend;
   //  (b) inner itself offers the row protocol (a stencil, or another
   //      gather) — the inner row is produced first (directly into `out`
   //      when the k transform is the identity, else into a scratch row) and
@@ -288,21 +287,14 @@ struct GatherExpr {
   // Builders only produce scale_num == 1 or scale_den == 1; mixed ratios
   // fall back to per-point evaluation via row_fill_enabled() == false.
 
-  static constexpr bool kRowInnerBorder =
-      std::is_same_v<E, PeriodicBorderExpr>;
-  static constexpr bool kRowInnerArray =
-      std::is_same_v<E, Array<double>> || kRowInnerBorder;
+  static constexpr bool kRowInnerArray = std::is_same_v<E, Array<double>>;
 
   // Source row (si, sj) of a concrete inner.
   const double* inner_row(extent_t si, extent_t sj) const
     requires(kRowInnerArray)
   {
-    if constexpr (kRowInnerBorder) {
-      return inner.row(si, sj);
-    } else {
-      const Shape& ish = inner.shape();
-      return inner.data() + (si * ish[1] + sj) * ish[2];
-    }
+    const Shape& ish = inner.shape();
+    return inner.data() + (si * ish[1] + sj) * ish[2];
   }
 
   bool row_fill_enabled() const
@@ -384,17 +376,6 @@ struct GatherExpr {
           be.gather_row(out + k0, src + k0 * scale_num + off2, scale_num,
                         k1 - k0);
         }
-        if constexpr (kRowInnerBorder) {
-          // Source positions 0 and n-1 are ghosts: re-read them wrapped.
-          for (const extent_t s : {extent_t{0}, ish[2] - 1}) {
-            const extent_t d = s - off2;
-            if (d % scale_num != 0) continue;
-            const extent_t k = d / scale_num;
-            if (k >= k0 && k < k1) {
-              out[k] = src[PeriodicBorderExpr::wrap(s, ish[2])];
-            }
-          }
-        }
       } else {
         const extent_t s_lo = k0 * scale_num + off2;
         const extent_t s_hi = (k1 - 1) * scale_num + off2 + 1;
@@ -423,16 +404,6 @@ struct GatherExpr {
       if constexpr (kRowInnerArray) {
         const double* src = inner_row(si, sj);
         be.scatter_row(base, scale_den, src + t_lo + off2, t_hi - t_lo);
-        if constexpr (kRowInnerBorder) {
-          // Source positions 0 and n-1 are ghosts: re-read them wrapped.
-          for (const extent_t s : {extent_t{0}, ish[2] - 1}) {
-            const extent_t t = s - off2;
-            if (t >= t_lo && t < t_hi) {
-              base[(t - t_lo) * scale_den] =
-                  src[PeriodicBorderExpr::wrap(s, ish[2])];
-            }
-          }
-        }
       } else {
         inner.fill_row(st.st, si, sj, st.row.data(), t_lo + off2,
                        t_hi + off2);

@@ -3,8 +3,8 @@
 // differential battery (tests/sac_backend_test.cpp) pins every other
 // backend against — the loops must keep the exact association order the
 // pinned goldens were generated with, so do not "optimise" them here.  The
-// build pins -ffp-contract=off on this file, so an FMA-capable -march
-// cannot fuse their multiply-adds either.
+// build pins -ffp-contract=off on every library file, so an FMA-capable
+// -march cannot fuse their multiply-adds either.
 
 #include <algorithm>
 #include <cmath>

@@ -17,8 +17,9 @@
 //    lands in lane n%4, combined ((l0+l1)+l2)+l3) and compiled once at the
 //    baseline ISA, shared by every engine, so kSimd fold results do not
 //    depend on the host CPU;
-//  * no FMA: the build pins -ffp-contract=off on this file (AVX-512 brings
-//    FMA into the ISA, so the target alone would not prevent contraction).
+//  * no FMA: src/common/CMakeLists.txt pins -ffp-contract=off on every
+//    library and its consumers (AVX-512 brings FMA into the ISA, so the
+//    target alone would not prevent contraction).
 //
 // Copy, gather, scatter and the folds stay outside the target regions and
 // are called through the engine glue (VectorBackend, also baseline code):

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
+#include <string>
 
 #include "sacpp/mg/mg_ref.hpp"
 #include "sacpp/mg/mg_sac.hpp"
@@ -100,6 +102,140 @@ TEST(PeriodicStencil, MinimumExtentEnforced) {
   auto tiny = sac::genarray_const(Shape{1, 4, 4}, 1.0);
   EXPECT_THROW(sac::relax_kernel_periodic(tiny, kC), ContractError);
 }
+
+// -- the folded prolongation --------------------------------------------------
+//
+// sac::lazy_prolong_periodic relaxes the phase-1 scatter of the coarse grid
+// without materialising it (docs/stencil.md); it must equal the literal
+// scatter + relax_kernel_periodic byte for byte, signed zeros included,
+// under every stencil mode and row engine, on the row path and per point.
+
+struct ProlongCase {
+  sac::StencilMode mode;
+  sac::BackendKind backend;
+};
+
+class ProlongFold : public ::testing::TestWithParam<ProlongCase> {
+ protected:
+  sac::SacConfig config_for(std::int64_t cutover, bool mt) const {
+    sac::SacConfig cfg = sac::config();
+    cfg.stencil_mode = GetParam().mode;
+    cfg.backend = GetParam().backend;
+    cfg.stencil_planes_cutover = cutover;
+    cfg.mt_enabled = mt;
+    cfg.mt_threads = 3;
+    cfg.mt_threshold = 1;
+    return cfg;
+  }
+};
+
+// Byte equality: unlike ==, tells -0.0 from +0.0.
+void expect_same_bytes(const Array<double>& got, const Array<double>& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  for (extent_t i = 0; i < got.elem_count(); ++i) {
+    const double g = got.at_linear(i);
+    const double w = want.at_linear(i);
+    ASSERT_EQ(std::memcmp(&g, &w, sizeof g), 0)
+        << "element " << i << ": " << g << " vs " << w;
+  }
+}
+
+// Random values with every third one a signed zero; or -0.0 everywhere.
+Array<double> signed_zero_pure(const Shape& shp, unsigned seed,
+                               bool all_negative_zero) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  extent_t n = 0;
+  return sac::with_genarray<double>(shp, [&](const IndexVec&) {
+    const double v = dist(rng);
+    if (all_negative_zero) return -0.0;
+    switch (n++ % 6) {
+      case 0: return -0.0;
+      case 3: return 0.0;
+      default: return v;
+    }
+  });
+}
+
+TEST_P(ProlongFold, MatchesTheMaterialisedScatter) {
+  const sac::StencilCoeffs coeffs[] = {
+      MgSpec::custom(16, 1).q,                // NPB's Q
+      {{-1.0, -0.5, -0.25, -0.125}},          // every dropped product is -0.0
+      {{0.75, -1.0 / 3.0, 0.2, -1.0 / 7.0}},  // mixed signs
+  };
+  // Coarse extents 1..33: fine extents 2..66, per point and on the row path
+  // at the default cutover (fine extent 18 and up).
+  const Shape shapes[] = {{1, 1, 1}, {2, 2, 2},    {3, 2, 5}, {8, 8, 8},
+                          {9, 10, 11}, {33, 33, 33}, {1},     {9},
+                          {33},      {3, 4},       {17, 5}};
+  for (const Shape& shp : shapes) {
+    for (const bool all_negative_zero : {false, true}) {
+      const auto z = signed_zero_pure(shp, 27, all_negative_zero);
+      for (const auto& q : coeffs) {
+        for (const std::int64_t cutover : {std::int64_t{0}, std::int64_t{18}}) {
+          for (const bool mt : {false, true}) {
+            sac::ScopedConfig guard(config_for(cutover, mt));
+            SCOPED_TRACE(::testing::Message()
+                         << "cutover " << cutover << " mt " << mt << " rank "
+                         << shp.rank() << " extent0 " << shp.extent(0)
+                         << " q0 " << q[0] << " all -0.0 "
+                         << all_negative_zero);
+            const Array<double> literal = sac::relax_kernel_periodic(
+                force(sac::lazy_scatter(2, z, 1)), q);
+            expect_same_bytes(force(sac::lazy_prolong_periodic(z, q)),
+                              literal);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(ProlongFold, Coarse2FineFoldedEqualsUnfolded) {
+  const MgSacDirect direct(MgSpec::custom(16, 1));
+  for (const extent_t n : {1, 2, 4, 8, 16, 32}) {
+    const auto z = signed_zero_pure(cube_shape(3, n), 28, false);
+    for (const std::int64_t cutover : {std::int64_t{0}, std::int64_t{18}}) {
+      sac::SacConfig cfg = config_for(cutover, true);
+      SCOPED_TRACE(::testing::Message() << "cutover " << cutover << " n " << n);
+      cfg.folding = false;
+      Array<double> unfolded;
+      {
+        sac::ScopedConfig guard(cfg);
+        unfolded = direct.coarse2fine(z);
+      }
+      cfg.folding = true;
+      sac::ScopedConfig guard(cfg);
+      expect_same_bytes(direct.coarse2fine(z), unfolded);
+    }
+  }
+}
+
+std::string prolong_case_name(
+    const ::testing::TestParamInfo<ProlongCase>& info) {
+  std::string name = sac::stencil_mode_name(info.param.mode);
+  name += '_';
+  for (const char ch : std::string(sac::backend_name(info.param.backend))) {
+    name += ch == '-' ? '_' : ch;
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndEngines, ProlongFold,
+    ::testing::Values(
+        ProlongCase{sac::StencilMode::kGrouped, sac::BackendKind::kScalar},
+        ProlongCase{sac::StencilMode::kGrouped, sac::BackendKind::kSimd},
+        ProlongCase{sac::StencilMode::kGrouped,
+                    sac::BackendKind::kSimdPortable},
+        ProlongCase{sac::StencilMode::kNaive, sac::BackendKind::kScalar},
+        ProlongCase{sac::StencilMode::kNaive, sac::BackendKind::kSimd},
+        ProlongCase{sac::StencilMode::kNaive, sac::BackendKind::kSimdPortable},
+        ProlongCase{sac::StencilMode::kPlanes, sac::BackendKind::kScalar},
+        ProlongCase{sac::StencilMode::kPlanes, sac::BackendKind::kSimd},
+        ProlongCase{sac::StencilMode::kPlanes,
+                    sac::BackendKind::kSimdPortable}),
+    prolong_case_name);
 
 // -- the direct V-cycle against the ghost-layer implementations --------------
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 
 #include "sacpp/sac/sac.hpp"
@@ -27,6 +28,30 @@ void expect_equal(const Array<double>& a, const Array<double>& b) {
 TEST(GenarrayConst, FillsEveryElement) {
   auto a = genarray_const(Shape{3, 3}, 2.5);
   for (extent_t i = 0; i < 9; ++i) EXPECT_DOUBLE_EQ(a.at_linear(i), 2.5);
+}
+
+TEST(GenarrayConst, EveryRankHoldsTheConstantAndRank3FillsRows) {
+  const Shape shapes[] = {Shape{}, Shape{7}, Shape{3, 5}, Shape{4, 5, 6},
+                          Shape{2, 3, 4, 5}};
+  for (const Shape& shp : shapes) {
+    const auto a = genarray_const(shp, -0.0);
+    const auto b = genarray_const(shp, 2.5);
+    ASSERT_EQ(a.shape(), shp);
+    ASSERT_EQ(b.shape(), shp);
+    for (extent_t i = 0; i < shp.elem_count(); ++i) {
+      ASSERT_TRUE(std::signbit(a.at_linear(i))) << "rank " << shp.rank();
+      ASSERT_EQ(a.at_linear(i), 0.0) << "rank " << shp.rank();
+      ASSERT_EQ(b.at_linear(i), 2.5) << "rank " << shp.rank();
+    }
+  }
+  // The rank-3 fill runs on the row path: under a vectorized backend the
+  // with-loop tallies one row per (i, j).
+  SacConfig cfg = config();
+  cfg.backend = BackendKind::kSimd;
+  ScopedConfig guard(cfg);
+  reset_stats();
+  (void)genarray_const(Shape{4, 5, 6}, 1.0);
+  EXPECT_EQ(stats().backend_simd_rows, 4u * 5u);
 }
 
 TEST(Iota, ZeroBasedVector) {
