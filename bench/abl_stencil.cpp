@@ -13,8 +13,9 @@
 //
 // One google-benchmark timing per rung and level size (the MG ladder 10,
 // 18, 34, 66, 130).  kPlanes runs with the production small-grid cutover,
-// so sizes below it (interior extent under 18) report the grouped fallback
-// — exactly what the engine does at the bottom of the V-cycle.  Every rung
+// so sizes below it (interior extent under 18) report the grouped rows —
+// the grouped tree evaluated row by row, exactly what the engine does at
+// the bottom of the V-cycle.  Every rung
 // runs on the scalar row engine (bench::paper_config), so the ladder
 // compares the stencil forms alone.  bench/run_all.sh gates the
 // planes-vs-grouped improvement at the class-W-sized grid (n = 66).

@@ -271,6 +271,9 @@ int main(int argc, char** argv) {
       std::printf(" Rows reused         = %llu\n",
                   static_cast<unsigned long long>(
                       sac::stats().stencil_rows_reused));
+      std::printf(" Rows grouped        = %llu\n",
+                  static_cast<unsigned long long>(
+                      sac::stats().stencil_rows_grouped));
     }
   }
 

@@ -33,9 +33,10 @@ FuzzStats fuzz_wlgraph_verifier(std::uint64_t seed, int rounds);
 // adversarial row lengths and sub-ranges around the 4-lane vector width
 // (0, 1, width-1, width, width+1, primes, empty ranges) and
 //  * runs every row primitive on every available engine (scalar, portable,
-//    AVX2 where the host has it), comparing element-parallel results
-//    bitwise and fold results to tolerance — masked-tail bugs show up as
-//    `mismatches`;
+//    AVX2 and AVX-512 where the host has them), comparing element-parallel
+//    results bitwise (the grouped rows also against the per-point
+//    grouped_stencil3 tree) and fold results to tolerance — masked-tail
+//    bugs show up as `mismatches`;
 //  * forces random gather/scatter/take/embed compositions and degenerate
 //    stencil grids (the gen_interior regression class: interiors that are
 //    empty or a single point) under every backend, comparing against

@@ -415,6 +415,34 @@ void fuzz_primitives(Rng& rng, const std::vector<const sac::Backend*>& engines,
         stats->mismatches += 1;
       }
     }
+
+    // Grouped rows over nine neighbour rows (some of them the same row, as
+    // on wrapped extent-2/3 axes), checked against the grouped_stencil3
+    // tree per element as well as across engines.
+    std::vector<std::vector<double>> nine(6);
+    for (auto& r : nine) r = fuzz_row(rng, nz);
+    const double* rows[9];
+    for (std::size_t r = 0; r < 9; ++r) rows[r] = nine[r % 6].data();
+    std::vector<double> want(nz, -77.0), want_acc = b;
+    for (extent_t k = clo; k < chi; ++k) {
+      const double g =
+          sac::grouped_stencil3(kFuzzCoeffs, [&](int di, int dj, int dk) {
+            return rows[(di + 1) * 3 + (dj + 1)][k + dk];
+          });
+      want[static_cast<std::size_t>(k)] = g;
+      want_acc[static_cast<std::size_t>(k)] += g;
+    }
+    for (const sac::Backend* be : engines) {
+      std::vector<double> g(nz, -77.0), acc = b;
+      be->grouped_combine_row(kFuzzCoeffs.c.data(), rows, g.data(), clo,
+                              chi);
+      be->grouped_accumulate_row(kFuzzCoeffs.c.data(), rows, acc.data(), clo,
+                                 chi);
+      stats->rows_checked += 1;
+      if (!rows_equal(g, want) || !rows_equal(acc, want_acc)) {
+        stats->mismatches += 1;
+      }
+    }
   }
 
   // Strided gather / scatter.

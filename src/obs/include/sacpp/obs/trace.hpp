@@ -48,7 +48,9 @@ struct TraceContext {
 };
 
 namespace detail {
-extern thread_local TraceContext tl_trace;
+// constinit: readers access it directly, not through a TLS init wrapper
+// (the same reason as sac::detail::tl_config, config.hpp).
+extern thread_local constinit TraceContext tl_trace;
 }
 
 inline const TraceContext& current_trace() noexcept {

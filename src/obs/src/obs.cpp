@@ -13,7 +13,7 @@ namespace sacpp::obs {
 namespace detail {
 std::atomic<bool> g_enabled{false};
 std::atomic<std::uint32_t> g_probe_mask{kAllProbes};
-thread_local TraceContext tl_trace;
+constinit thread_local TraceContext tl_trace;
 }
 
 // ---------------------------------------------------------------------------

@@ -93,6 +93,31 @@ class Backend {
                               const double* u1, const double* u2, double* out,
                               extent_t lo, extent_t hi) const = 0;
 
+  // The grouped association tree (grouped_stencil3, stencil.hpp) across a
+  // row, for the kPlanes fallback below the cutover.  rows[3*(di+1) +
+  // (dj+1)] is the neighbour row at offset (di, dj) (rows[4] the centre
+  // row, x below), and for k in [lo, hi), each sum taken left to right:
+  //   faces   = x(-1,0)[k] + x(1,0)[k] + x(0,-1)[k] + x(0,1)[k]
+  //           + x(0,0)[k-1] + x(0,0)[k+1]
+  //   edges   = x(-1,-1)[k] + x(-1,1)[k] + x(1,-1)[k] + x(1,1)[k]
+  //           + x(-1,0)[k-1] + x(-1,0)[k+1] + x(1,0)[k-1] + x(1,0)[k+1]
+  //           + x(0,-1)[k-1] + x(0,-1)[k+1] + x(0,1)[k-1] + x(0,1)[k+1]
+  //   corners = x(-1,-1)[k-1] + x(-1,-1)[k+1] + x(-1,1)[k-1]
+  //           + x(-1,1)[k+1] + x(1,-1)[k-1] + x(1,-1)[k+1] + x(1,1)[k-1]
+  //           + x(1,1)[k+1]
+  //   g(k)    = c[0]*x(0,0)[k] + c[1]*faces + c[2]*edges + c[3]*corners
+  //   grouped_combine_row:    out[k]  = g(k)
+  //   grouped_accumulate_row: out[k] += g(k)
+  // so every element equals the per-point grouped evaluator bit for bit.
+  // The caller guarantees every row is readable on [lo-1, hi+1); rows may
+  // coincide (they are only read), `out` must not overlap any of them.
+  virtual void grouped_combine_row(const double* c, const double* const* rows,
+                                   double* out, extent_t lo,
+                                   extent_t hi) const = 0;
+  virtual void grouped_accumulate_row(const double* c,
+                                      const double* const* rows, double* out,
+                                      extent_t lo, extent_t hi) const = 0;
+
   // One fused kPlanes output row: the plane_sums over the eight neighbour
   // rows of centre row `uc` into the caller's u1/u2 scratch (each readable
   // on [0, n)), followed by the per-point combine (or accumulate) into

@@ -21,9 +21,9 @@ namespace sacpp::sac {
 //  * kNaive — one multiply-add per stencil point (27 mults / 26 adds).
 //  * kPlanes — the NPB Fortran hand optimisation: per-class row partial sums
 //    shared between neighbouring output points (4 mults / ~16 adds with
-//    reuse); the default.  Falls back to kGrouped per-point evaluation on
-//    grids whose interior extent is below
-//    SacConfig::stencil_planes_cutover.
+//    reuse); the default.  Falls back to kGrouped arithmetic, evaluated on
+//    grouped rows (bit for bit kGrouped), on grids whose interior extent is
+//    below SacConfig::stencil_planes_cutover.
 enum class StencilMode { kGrouped, kNaive, kPlanes };
 
 // Canonical names used by SACPP_STENCIL_MODE / --stencil-mode / BENCH_mg.
@@ -127,11 +127,12 @@ struct SacConfig {
 
   // Small-grid cutover for kPlanes: grids whose smallest interior extent
   // (ghost layers excluded, so grids with and without ghosts agree) is
-  // below this fall back to kGrouped per-point evaluation — at the bottom
-  // of the V-cycle the row scratch setup costs more than the additions it
-  // saves (the same small-grid economics as mt_threshold / the pool's role
+  // below this fall back to the kGrouped tree, run on grouped rows — at the
+  // bottom of the V-cycle the row scratch setup costs more than the
+  // additions it saves (the same small-grid economics as mt_threshold / the pool's role
   // on small levels, docs/memory.md).  The MG levels have interior extent
-  // 2, 4, 8, 16, 32, 64, ...; 18 keeps every level up to 16^3 on kGrouped.
+  // 2, 4, 8, 16, 32, 64, ...; 18 keeps every level up to 16^3 on grouped
+  // rows.
   std::int64_t stencil_planes_cutover = 18;
 
   // Compute backend for the dense-rank-3 row primitives (docs/backends.md).
@@ -150,7 +151,11 @@ SacConfig& config();
 namespace detail {
 // Per-thread configuration override (see ConfigBinding).  Read on every hot
 // path through active_config(); nullptr means "use the process global".
-extern thread_local const SacConfig* tl_config;
+// constinit tells every reader that the variable needs no dynamic
+// initialisation, so reads are plain TLS loads rather than calls through
+// the compiler's TLS init wrapper (whose weak, possibly null init hook
+// UBSan flags in optimised builds).
+extern thread_local constinit const SacConfig* tl_config;
 }  // namespace detail
 
 // The configuration governing work on the calling thread: the thread's bound

@@ -44,8 +44,10 @@ class PeriodicStencilExpr {
     if (shp.rank() == 3) {
       s0_ = shp.extent(1) * shp.extent(2);
       s1_ = shp.extent(2);
-      planes_rows_ = mode_ == StencilMode::kPlanes &&
-                     min_extent >= active_config().stencil_planes_cutover;
+      if (mode_ == StencilMode::kPlanes) {
+        planes_rows_ = min_extent >= active_config().stencil_planes_cutover;
+        grouped_rows_ = !planes_rows_;
+      }
     }
   }
 
@@ -76,15 +78,21 @@ class PeriodicStencilExpr {
   // EVERY output row: the nine source rows are taken with their i/j
   // coordinates wrapped, so the boundary ring needs no per-point modular
   // fallback, and only the first/last k positions pay a wrapped combine.
+  // Below the cutover the rows are grouped rows (StencilExpr's), the
+  // wrapped3 tree of every point bit for bit.
 
-  bool row_fill_enabled() const { return planes_rows_; }
+  bool row_fill_enabled() const { return planes_rows_ || grouped_rows_; }
 
   PlaneScratch make_row_state() const {
-    return PlaneScratch(a_.shape().extent(2));
+    return PlaneScratch(planes_rows_ ? a_.shape().extent(2) : 0);
   }
 
   void fill_row(PlaneScratch& st, extent_t i, extent_t j, double* out,
                 extent_t k_lo, extent_t k_hi) const {
+    if (grouped_rows_) {
+      grouped_row(st, i, j, out, k_lo, k_hi);
+      return;
+    }
     const Shape& shp = a_.shape();
     const extent_t n0 = shp[0], n1 = shp[1], n2 = shp[2];
     const extent_t iw = (i + n0 - 1) % n0, ie = (i + 1) % n0;
@@ -128,6 +136,30 @@ class PeriodicStencilExpr {
     });
   }
 
+  // fill_row below the cutover: the grouped rows over the nine wrapped
+  // neighbour rows, the wrapped first and last k peeled as in wrapped3.
+  void grouped_row(PlaneScratch& st, extent_t i, extent_t j, double* out,
+                   extent_t k_lo, extent_t k_hi) const {
+    const Shape& shp = a_.shape();
+    const extent_t n0 = shp[0], n1 = shp[1], n2 = shp[2];
+    const extent_t x[3] = {(i + n0 - 1) % n0, i, (i + 1) % n0};
+    const extent_t y[3] = {(j + n1 - 1) % n1, j, (j + 1) % n1};
+    const double* rows[9];
+    for (int a = 0; a < 3; ++a) {
+      for (int b = 0; b < 3; ++b) {
+        rows[a * 3 + b] = a_.data() + x[a] * s0_ + y[b] * s1_;
+      }
+    }
+    if (k_lo == 0) out[0] = grouped_point3(c_, rows, 0, n2 - 1, 1 % n2);
+    be_->grouped_combine_row(c_.c.data(), rows, out,
+                             std::max<extent_t>(k_lo, 1),
+                             std::min<extent_t>(k_hi, n2 - 1));
+    if (k_hi == n2 && n2 >= 2) {
+      out[n2 - 1] = grouped_point3(c_, rows, n2 - 1, n2 - 2, 0);
+    }
+    st.grouped_rows += 1;
+  }
+
   // Boundary points: the same tree, neighbour coordinates wrapping modulo
   // the extent.
   double wrapped3(extent_t i, extent_t j, extent_t k) const {
@@ -168,7 +200,8 @@ class PeriodicStencilExpr {
   const Backend* be_;  // row-primitive engine, snapshotted at construction
   extent_t s0_ = 0;
   extent_t s1_ = 0;
-  bool planes_rows_ = false;  // kPlanes row path active (rank 3, >= cutover)
+  bool planes_rows_ = false;   // kPlanes plane-sum rows (rank 3, >= cutover)
+  bool grouped_rows_ = false;  // kPlanes grouped rows (rank 3, < cutover)
 };
 
 // Eager form: one with-loop over the whole (ghost-free) grid.  The default

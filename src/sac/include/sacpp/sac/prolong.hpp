@@ -13,12 +13,16 @@
 // the coarse grid, in the summation order of the stencil it replaces, so it
 // is bit for bit the materialised scatter relaxed by relax_kernel (ghosted)
 // or relax_kernel_periodic (ghost-free):
-//  * per point (kGrouped, kNaive, kPlanes below the cutover or without the
-//    row path): the coarse values in grouped_stencil3 / StencilTable order;
+//  * per point (kGrouped, kNaive, or kPlanes without the row path): the
+//    coarse values in grouped_stencil3 / StencilTable order;
 //  * on the kPlanes row path: the plane-sum association — one coarse row,
 //    or the sum of the two or four coarse rows around the fine row, then
 //    per k either that row's value (k on a sample) or the sum of its two
-//    neighbours (k between).
+//    neighbours (k between);
+//  * on kPlanes grouped rows (below the cutover): the per-point grouped
+//    order across a row — the row sum on a sample (the same sum as the
+//    plane-sum path's), and between two samples each coarse row's pair of
+//    values added in turn.
 // Dropping a zero term changes a sum only in the sign of a zero result, so
 // each evaluator adds two constants that restore exactly the sign the full
 // sum would have had (see `fix_` and `zero_` below).
@@ -83,9 +87,11 @@ class ProlongExpr {
   // Row (i, j) reads one, two or four coarse rows; their sum goes into
   // scratch once and every fine k of the row reads one or two entries of
   // it.  Enabled under the condition the replaced stencil takes its row
-  // path: kPlanes, rank 3, fine interior extent at the cutover.
+  // path: kPlanes, rank 3; at the cutover in the plane-sum association,
+  // below it in the grouped one (grouped rows, bit for bit the per-point
+  // kGrouped value).
 
-  bool row_fill_enabled() const { return planes_rows_; }
+  bool row_fill_enabled() const { return planes_rows_ || grouped_rows_; }
 
   PlaneScratch make_row_state() const { return PlaneScratch(shp_[2]); }
 
@@ -153,7 +159,8 @@ class ProlongExpr {
   std::array<double, 4> fix_{};
   std::array<double, 4> zero_{};
   const Backend* be_;  // row-primitive engine, snapshotted at construction
-  bool planes_rows_ = false;
+  bool planes_rows_ = false;   // plane-sum rows (rank 3, at the cutover)
+  bool grouped_rows_ = false;  // grouped rows (rank 3, below the cutover)
 };
 
 // Q(scatter(2, z)) over extended grids: MgSac's folded Coarse2Fine, equal

@@ -56,7 +56,8 @@ ThreadPool& runtime();
 void shutdown_runtime();
 
 namespace runtime_detail {
-extern thread_local ThreadPool* tl_pool;
+// constinit for the reason given at sac::detail::tl_config (config.hpp).
+extern thread_local constinit ThreadPool* tl_pool;
 }  // namespace runtime_detail
 
 // RAII: route the calling thread's with-loops through a private ThreadPool

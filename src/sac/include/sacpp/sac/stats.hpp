@@ -69,6 +69,11 @@ struct RuntimeStats {
   // (docs/stencil.md): each counted row reused its u1/u2 partial sums across
   // the whole k inner loop.
   RelaxedCounter stencil_rows_reused;
+  // Output rows computed through the kPlanes grouped rows below the
+  // small-grid cutover (docs/stencil.md): the kGrouped tree of every point,
+  // vectorized across the row.  With stencil_rows_reused it counts every
+  // stencil row that did not take the per-point path.
+  RelaxedCounter stencil_rows_grouped;
   // Rows dispatched through a vectorized (kSimd / kSimdPortable)
   // backend's row primitives (docs/backends.md).  Zero under kScalar, so
   // tests and the obs export can tell which engine a run actually used.

@@ -20,9 +20,11 @@
 //    class-2 diagonal row sums u2[k] are computed once into scratch, then
 //    every output point reuses three of each (4 mults / ~16 adds per point,
 //    contiguous auto-vectorisable loops).  Executed through the with-loop
-//    row-fill path (detail::RowFillBody); grids whose interior extent is
-//    below SacConfig::stencil_planes_cutover fall back to kGrouped
-//    per-point evaluation, where the scratch setup would dominate.  It is
+//    row-fill path (detail::RowFillBody); rank-3 grids whose interior
+//    extent is below SacConfig::stencil_planes_cutover, where the scratch
+//    setup would dominate, take "grouped rows" instead: the kGrouped tree
+//    of every point, vectorized across k by the backend's
+//    grouped_combine_row, so the fallback is bit for bit kGrouped.  It is
 //    the default mode.
 //
 // StencilExpr is the lazy form (expr.hpp): stencil value on interior
@@ -59,9 +61,11 @@ struct StencilCoeffs {
 
 // Per-chunk scratch of the kPlanes row path: one block holding the u1
 // (class-1) and u2 (class-2) partial-sum rows and the wrapped centre row of
-// a stencil over a lazy periodic border, plus the tally flushed into
-// stats().stencil_rows_reused on destruction (once per chunk, so the hot
-// loop never touches the shared counter).  Deliberately NOT a Buffer<T>:
+// a stencil over a lazy periodic border, plus the tallies flushed into
+// stats().stencil_rows_reused / stencil_rows_grouped on destruction (once
+// per chunk, so the hot loop never touches the shared counters).  The
+// grouped rows below the cutover need no scratch: row_len 0 allocates
+// nothing.  Deliberately NOT a Buffer<T>:
 // chunk states live and die on worker threads, and Buffer ownership is
 // coordinator-only by contract (buffer.hpp) — BufferPool itself is
 // thread-safe through its per-thread magazines, which is exactly what keeps
@@ -69,6 +73,7 @@ struct StencilCoeffs {
 class PlaneScratch {
  public:
   explicit PlaneScratch(extent_t row_len) {
+    if (row_len == 0) return;
     bytes_ = pool_block_bytes(3 * static_cast<std::size_t>(row_len) *
                               sizeof(double));
     pooled_ = active_config().pool;
@@ -81,6 +86,7 @@ class PlaneScratch {
   }
   PlaneScratch(PlaneScratch&& o) noexcept
       : rows(std::exchange(o.rows, 0)),
+        grouped_rows(std::exchange(o.grouped_rows, 0)),
         u1_(std::exchange(o.u1_, nullptr)),
         u2_(std::exchange(o.u2_, nullptr)),
         uc_(std::exchange(o.uc_, nullptr)),
@@ -98,6 +104,7 @@ class PlaneScratch {
       }
     }
     if (rows != 0) stats().stencil_rows_reused += rows;
+    if (grouped_rows != 0) stats().stencil_rows_grouped += grouped_rows;
   }
 
   double* u1() noexcept { return u1_; }
@@ -106,7 +113,8 @@ class PlaneScratch {
   const double* u1() const noexcept { return u1_; }
   const double* u2() const noexcept { return u2_; }
 
-  std::uint64_t rows = 0;  // output rows filled with this scratch
+  std::uint64_t rows = 0;          // plane-sum rows filled with this scratch
+  std::uint64_t grouped_rows = 0;  // grouped rows (below the cutover)
 
  private:
   double* u1_ = nullptr;
@@ -132,6 +140,16 @@ inline double grouped_stencil3(const StencilCoeffs& c, At at) {
                          at(-1, 1, 1) + at(1, -1, -1) + at(1, -1, 1) +
                          at(1, 1, -1) + at(1, 1, 1);
   return c[0] * at(0, 0, 0) + c[1] * faces + c[2] * edges + c[3] * corners;
+}
+
+// grouped_stencil3 at position k of the row whose nine neighbour rows are
+// rows[3*(di+1) + (dj+1)] (Backend::grouped_combine_row's layout), its k
+// neighbours read at km and kp: the wrapped k ends of the grouped rows.
+inline double grouped_point3(const StencilCoeffs& c, const double* const* rows,
+                             extent_t k, extent_t km, extent_t kp) {
+  return grouped_stencil3(c, [&](int di, int dj, int dk) {
+    return rows[(di + 1) * 3 + (dj + 1)][dk < 0 ? km : (dk > 0 ? kp : k)];
+  });
 }
 
 // All offsets in {-1, 0, 1}^rank with their distance class; cached per rank.
@@ -183,9 +201,12 @@ class StencilExpr {
       // PeriodicStencilExpr compares the same number, so both formulations
       // pick the same path per level): below it the scratch setup costs
       // more than the shared additions save, so kPlanes degrades to
-      // kGrouped per point.
-      planes_rows_ = mode_ == StencilMode::kPlanes &&
-                     min_extent - 2 >= active_config().stencil_planes_cutover;
+      // kGrouped arithmetic, on grouped rows.
+      if (mode_ == StencilMode::kPlanes) {
+        planes_rows_ =
+            min_extent - 2 >= active_config().stencil_planes_cutover;
+        grouped_rows_ = !planes_rows_;
+      }
     }
   }
 
@@ -246,11 +267,13 @@ class StencilExpr {
   // reassociates the class-2/3 sums — kPlanes results are therefore equal to
   // kGrouped only up to rounding (tests use 1e-12 relative), while staying
   // bit-identical across thread counts (rows are computed independently).
+  // Below the cutover the rows are grouped rows instead: the per-point
+  // kGrouped tree over the nine neighbour rows, bit for bit.
 
-  bool row_fill_enabled() const { return planes_rows_; }
+  bool row_fill_enabled() const { return planes_rows_ || grouped_rows_; }
 
   PlaneScratch make_row_state() const {
-    return PlaneScratch(a_.shape().extent(2));
+    return PlaneScratch(planes_rows_ ? a_.shape().extent(2) : 0);
   }
 
   // Assign-form row fill: boundary rows and boundary k positions get the
@@ -265,21 +288,38 @@ class StencilExpr {
     const extent_t n2 = shp[2];
     if (k_lo < 1) out[0] = 0.0;
     if (k_hi > n2 - 1) out[n2 - 1] = 0.0;
-    fused_row(st, i, j, out, std::max<extent_t>(k_lo, 1),
-              std::min<extent_t>(k_hi, n2 - 1), /*accumulate=*/false);
+    const extent_t lo = std::max<extent_t>(k_lo, 1);
+    const extent_t hi = std::min<extent_t>(k_hi, n2 - 1);
+    if (grouped_rows_) {
+      grouped_row(st, i, j, out, lo, hi, /*accumulate=*/false);
+      return;
+    }
+    fused_row(st, i, j, out, lo, hi, /*accumulate=*/false);
     st.rows += 1;
   }
 
   // Accumulate-form row fill (out[k] += stencil) for in-place updates like
-  // psinv's u += C r; boundary positions add the stencil's 0, i.e. nothing.
-  // `out` must not alias the stencil argument (it is the array being
-  // updated, the stencil reads another).
+  // psinv's u += C r.  Boundary positions add the stencil's 0 as the
+  // per-point u + 0.0 does, which only turns a -0.0 into +0.0.  `out` must
+  // not alias the stencil argument (it is the array being updated, the
+  // stencil reads another).
   void accumulate_row(PlaneScratch& st, extent_t i, extent_t j, double* out,
                       extent_t k_lo, extent_t k_hi) const {
     const Shape& shp = a_.shape();
-    if (i < 1 || i >= shp[0] - 1 || j < 1 || j >= shp[1] - 1) return;
-    fused_row(st, i, j, out, std::max<extent_t>(k_lo, 1),
-              std::min<extent_t>(k_hi, shp[2] - 1), /*accumulate=*/true);
+    const extent_t n2 = shp[2];
+    if (i < 1 || i >= shp[0] - 1 || j < 1 || j >= shp[1] - 1) {
+      for (extent_t k = k_lo; k < k_hi; ++k) out[k] += 0.0;
+      return;
+    }
+    if (k_lo < 1) out[0] += 0.0;
+    if (k_hi > n2 - 1) out[n2 - 1] += 0.0;
+    const extent_t lo = std::max<extent_t>(k_lo, 1);
+    const extent_t hi = std::min<extent_t>(k_hi, n2 - 1);
+    if (grouped_rows_) {
+      grouped_row(st, i, j, out, lo, hi, /*accumulate=*/true);
+      return;
+    }
+    fused_row(st, i, j, out, lo, hi, /*accumulate=*/true);
     st.rows += 1;
   }
 
@@ -429,6 +469,44 @@ class StencilExpr {
     }
   }
 
+  // One grouped output row (i, j) over k in [k_lo, k_hi), interior k only:
+  // the backend's grouped rows over the nine neighbour rows, their i/j
+  // coordinates wrapped as in wrapped_row.  A wrapped stencil reads the k
+  // neighbours of k = 1 and n2-2 through the wrap too, so those two points
+  // are peeled and evaluated like at_wrapped3.
+  void grouped_row(PlaneScratch& st, extent_t i, extent_t j, double* out,
+                   extent_t k_lo, extent_t k_hi, bool accumulate) const {
+    const Shape& shp = a_.shape();
+    const double* rows[9];
+    for (int di = -1; di <= 1; ++di) {
+      for (int dj = -1; dj <= 1; ++dj) {
+        extent_t x = i + di, y = j + dj;
+        if (wrap_) {
+          x = PeriodicBorderExpr::wrap(x, shp[0]);
+          y = PeriodicBorderExpr::wrap(y, shp[1]);
+        }
+        rows[(di + 1) * 3 + (dj + 1)] = a_.data() + x * s0_ + y * s1_;
+      }
+    }
+    auto peel = [&](extent_t k) {
+      const extent_t n2 = shp[2];
+      const double v =
+          grouped_point3(c_, rows, k, PeriodicBorderExpr::wrap(k - 1, n2),
+                         PeriodicBorderExpr::wrap(k + 1, n2));
+      out[k] = accumulate ? out[k] + v : v;
+    };
+    if (wrap_ && k_lo < k_hi) {
+      if (k_lo == 1) peel(k_lo++);
+      if (k_lo < k_hi && k_hi == shp[2] - 1) peel(--k_hi);
+    }
+    if (accumulate) {
+      be_->grouped_accumulate_row(c_.c.data(), rows, out, k_lo, k_hi);
+    } else {
+      be_->grouped_combine_row(c_.c.data(), rows, out, k_lo, k_hi);
+    }
+    st.grouped_rows += 1;
+  }
+
   Array<double> a_;
   StencilCoeffs c_;
   StencilMode mode_;
@@ -436,7 +514,8 @@ class StencilExpr {
   std::array<std::vector<extent_t>, 4> by_class_;
   extent_t s0_ = 0;  // rank-3 row strides for the unrolled evaluator
   extent_t s1_ = 0;
-  bool planes_rows_ = false;  // kPlanes row path active (rank 3, >= cutover)
+  bool planes_rows_ = false;   // kPlanes plane-sum rows (rank 3, >= cutover)
+  bool grouped_rows_ = false;  // kPlanes grouped rows (rank 3, < cutover)
   bool wrap_ = false;  // ghost layer read through the periodic wrap
 };
 

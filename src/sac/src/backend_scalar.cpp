@@ -15,6 +15,39 @@
 namespace sacpp::sac {
 namespace {
 
+// grouped_combine_row (kAccumulate false) / grouped_accumulate_row: the
+// grouped_stencil3 tree per element, its sums in the tree's order.
+template <bool kAccumulate>
+void grouped_rows(const double* c, const double* const* rows, double* out,
+                  extent_t lo, extent_t hi) {
+  const double* __restrict mm = rows[0];
+  const double* __restrict m0 = rows[1];
+  const double* __restrict mp = rows[2];
+  const double* __restrict zm = rows[3];
+  const double* __restrict zz = rows[4];
+  const double* __restrict zp = rows[5];
+  const double* __restrict pm = rows[6];
+  const double* __restrict p0 = rows[7];
+  const double* __restrict pp = rows[8];
+  double* __restrict o = out;
+  for (extent_t k = lo; k < hi; ++k) {
+    const double faces =
+        m0[k] + p0[k] + zm[k] + zp[k] + zz[k - 1] + zz[k + 1];
+    const double edges = mm[k] + mp[k] + pm[k] + pp[k] + m0[k - 1] +
+                         m0[k + 1] + p0[k - 1] + p0[k + 1] + zm[k - 1] +
+                         zm[k + 1] + zp[k - 1] + zp[k + 1];
+    const double corners = mm[k - 1] + mm[k + 1] + mp[k - 1] + mp[k + 1] +
+                           pm[k - 1] + pm[k + 1] + pp[k - 1] + pp[k + 1];
+    const double g =
+        c[0] * zz[k] + c[1] * faces + c[2] * edges + c[3] * corners;
+    if constexpr (kAccumulate) {
+      o[k] += g;
+    } else {
+      o[k] = g;
+    }
+  }
+}
+
 class ScalarBackend final : public Backend {
  public:
   const char* name() const noexcept override { return "scalar"; }
@@ -80,6 +113,18 @@ class ScalarBackend final : public Backend {
               c[2] * ((r2[k] + r1[k - 1]) + r1[k + 1]) +
               c[3] * (r2[k - 1] + r2[k + 1]);
     }
+  }
+
+  void grouped_combine_row(const double* c, const double* const* rows,
+                           double* out, extent_t lo,
+                           extent_t hi) const override {
+    grouped_rows<false>(c, rows, out, lo, hi);
+  }
+
+  void grouped_accumulate_row(const double* c, const double* const* rows,
+                              double* out, extent_t lo,
+                              extent_t hi) const override {
+    grouped_rows<true>(c, rows, out, lo, hi);
   }
 
   void add_into_row(const double* a, double* out, extent_t lo,

@@ -1,7 +1,7 @@
 // The kSimd engines: the portable 4-wide engine plus AVX2 and AVX-512.
 //
 // All three are one source.  The element-parallel kernels (fill, plane
-// sums, combine/accumulate, add/sub/mul_into) live in
+// sums, combine/accumulate, the grouped rows, add/sub/mul_into) live in
 // backend_simd_kernels.inc, which this file includes once at the baseline
 // ISA and once under each target pragma; the compiler vectorizes the same
 // loops at the width the target allows.  The translation unit therefore
@@ -151,6 +151,16 @@ class VectorBackend final : public Backend {
                       const double* u2, double* out, extent_t lo,
                       extent_t hi) const override {
     K::accumulate(c, uc, u1, u2, out, lo, hi);
+  }
+  void grouped_combine_row(const double* c, const double* const* rows,
+                           double* out, extent_t lo,
+                           extent_t hi) const override {
+    K::template grouped<false>(c, rows, out, lo, hi);
+  }
+  void grouped_accumulate_row(const double* c, const double* const* rows,
+                              double* out, extent_t lo,
+                              extent_t hi) const override {
+    K::template grouped<true>(c, rows, out, lo, hi);
   }
   void add_into_row(const double* a, double* out, extent_t lo,
                     extent_t hi) const override {

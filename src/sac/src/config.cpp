@@ -126,6 +126,9 @@ void collect_stats(obs::MetricSink& sink) {
   sink.counter("sacpp_stencil_rows_reused_total",
                static_cast<double>(st.stencil_rows_reused),
                "output rows computed via the kPlanes shared plane-sum path");
+  sink.counter("sacpp_stencil_rows_grouped_total",
+               static_cast<double>(st.stencil_rows_grouped),
+               "output rows computed via the kPlanes grouped rows");
   sink.counter("sacpp_backend_simd_rows_total",
                static_cast<double>(st.backend_simd_rows),
                "rows dispatched through a vectorized backend row primitive");
@@ -146,7 +149,7 @@ void collect_stats(obs::MetricSink& sink) {
 }  // namespace
 
 namespace detail {
-thread_local const SacConfig* tl_config = nullptr;
+constinit thread_local const SacConfig* tl_config = nullptr;
 }  // namespace detail
 
 SacConfig& config() {

@@ -79,8 +79,10 @@ ProlongExpr::ProlongExpr(Array<double> z, Geometry geometry,
       zero_[b] = 0.0;
     }
   }
-  planes_rows_ = rank == 3 && mode == StencilMode::kPlanes &&
-                 min_interior >= active_config().stencil_planes_cutover;
+  if (rank == 3 && mode == StencilMode::kPlanes) {
+    planes_rows_ = min_interior >= active_config().stencil_planes_cutover;
+    grouped_rows_ = !planes_rows_;
+  }
 }
 
 void ProlongExpr::fill_row(PlaneScratch& st, extent_t i, extent_t j,
@@ -93,9 +95,15 @@ void ProlongExpr::fill_row(PlaneScratch& st, extent_t i, extent_t j,
   }
   // T, the coarse rows around this fine row summed in the plane sums'
   // order, goes to w[1..m]; w[0] is the wrapped w[m].  Addition commutes,
-  // so add_into_row's r + w is the plane sums' w + r.
+  // so add_into_row's r + w is the plane sums' w + r.  T is also the
+  // grouped tree's sum on a sample, where the coarse values come in the
+  // same row order.  Between two samples the grouped tree instead adds
+  // each row's pair of values in turn, so grouped rows also build those
+  // sums, into g[0..m): g[t] pairs coarse positions t-1 and t, g[0] the
+  // wrapped m-1 and 0.
   const extent_t m = m2_;
   double* w = st.u1();
+  double* g = st.uc();
   const double* base = z_.data() + k0_;
   bool first = true;
   for (int a = 0; a < ti.n; ++a) {
@@ -105,6 +113,17 @@ void ProlongExpr::fill_row(PlaneScratch& st, extent_t i, extent_t j,
         be_->copy_row(w + 1, row, 0, m);
       } else {
         be_->add_into_row(row, w + 1, 0, m);
+      }
+      if (grouped_rows_) {
+        if (first) {
+          g[0] = row[m - 1] + row[0];
+          for (extent_t t = 1; t < m; ++t) g[t] = row[t - 1] + row[t];
+        } else {
+          g[0] = (g[0] + row[m - 1]) + row[0];
+          for (extent_t t = 1; t < m; ++t) {
+            g[t] = (g[t] + row[t - 1]) + row[t];
+          }
+        }
       }
       first = false;
     }
@@ -120,16 +139,24 @@ void ProlongExpr::fill_row(PlaneScratch& st, extent_t i, extent_t j,
   const bool whole = k_lo == 0 && k_hi == n2;
   double* row_out = whole ? out : st.u2();
   double* o = row_out + k0_;
-  for (extent_t t = 0; t < m; ++t) {
-    o[2 * t] = cb * ((w[t] + w[t + 1]) + gb) + zb;
-    o[2 * t + 1] = cs * (w[t + 1] + gs) + zs;
+  if (grouped_rows_) {
+    for (extent_t t = 0; t < m; ++t) {
+      o[2 * t] = cb * (g[t] + gb) + zb;
+      o[2 * t + 1] = cs * (w[t + 1] + gs) + zs;
+    }
+    st.grouped_rows += 1;
+  } else {
+    for (extent_t t = 0; t < m; ++t) {
+      o[2 * t] = cb * ((w[t] + w[t + 1]) + gb) + zb;
+      o[2 * t + 1] = cs * (w[t + 1] + gs) + zs;
+    }
+    st.rows += 1;
   }
   if (k0_ == 1) {  // the fixed boundary of the ghosted geometry
     row_out[0] = 0.0;
     row_out[n2 - 1] = 0.0;
   }
   if (!whole) be_->copy_row(out, row_out + k_lo, k_lo, k_hi);
-  st.rows += 1;
 }
 
 ProlongExpr lazy_prolong(const PeriodicBorderExpr& z, const StencilCoeffs& q,

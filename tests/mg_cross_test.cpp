@@ -12,7 +12,9 @@
 #include "sacpp/mg/mg_omp.hpp"
 #include "sacpp/mg/mg_ref.hpp"
 #include "sacpp/mg/mg_sac.hpp"
+#include "sacpp/mg/mg_sac_direct.hpp"
 #include "sacpp/mg/problem.hpp"
+#include "sacpp/sac/stats.hpp"
 
 namespace sacpp::mg {
 namespace {
@@ -115,6 +117,80 @@ TEST(CrossClassW, AllVariantsReachTheFloorAndVerify) {
     EXPECT_TRUE(verify(res, spec, &known)) << variant_name(v);
   }
 }
+
+// Row coverage: under the default configuration (planes + simd, cutover
+// 18) every rank-3 stencil with-loop of an MG iteration runs on rows —
+// plane-sum rows at or above the cutover, grouped rows below it — and none
+// evaluates per point.  The counts are exact, so a later change to the
+// cutover or to a node's row gating that sends a level back to the
+// per-point path fails here.
+struct StencilRows {
+  std::uint64_t planes = 0;   // stats().stencil_rows_reused
+  std::uint64_t grouped = 0;  // stats().stencil_rows_grouped
+};
+
+// The rows of one MG iteration on a grid of interior extent `top`: the
+// top-level residual, then per V-cycle level of interior extent n > 2 the
+// restriction's (n/2)^2 rows of P, the prolongation's n^2 rows of Q and
+// n^2 rows each of resid and psinv; the bottom level (n = 2) smooths its
+// 2^2 rows.  Both variants compute the same rows: MgSac's fixed-boundary
+// stencils skip the ghost rows that MgSacDirect's grids do not have.
+StencilRows expected_rows(std::uint64_t top, std::uint64_t cutover) {
+  StencilRows rows;
+  auto add = [&](std::uint64_t n, std::uint64_t count) {
+    (n >= cutover ? rows.planes : rows.grouped) += count;
+  };
+  add(top, top * top);  // residual(v, u)
+  std::uint64_t n = top;
+  for (; n > 2; n /= 2) {
+    add(n, (n / 2) * (n / 2));  // rprj3
+    add(n, 3 * n * n);          // interp, resid, psinv
+  }
+  add(n, n * n);  // bottom smooth
+  return rows;
+}
+
+template <typename Solver>
+StencilRows measured_rows(const Solver& solver, const sac::Array<double>& v) {
+  const sac::RuntimeStats before = sac::stats_snapshot();
+  (void)solver.mgrid(v, 1);
+  const sac::RuntimeStats after = sac::stats_snapshot();
+  return {after.stencil_rows_reused - before.stencil_rows_reused,
+          after.stencil_rows_grouped - before.stencil_rows_grouped};
+}
+
+class RowCoverage : public ::testing::TestWithParam<MgClass> {};
+
+TEST_P(RowCoverage, NoVCycleStencilRunsPerPoint) {
+  const sac::SacConfig defaults{};
+  sac::ScopedConfig guard(defaults);
+  const MgSpec spec = MgSpec::for_class(GetParam());
+  const extent_t n = spec.nx + 2;
+  std::vector<double> v_ext(static_cast<std::size_t>(n * n * n));
+  fill_rhs(v_ext, spec.nx);
+  const Shape shp{n, n, n};
+  const auto v = sac::with_genarray<double>(shp, [&](const IndexVec& iv) {
+    return v_ext[static_cast<std::size_t>(shp.linearize(iv))];
+  });
+  const StencilRows want = expected_rows(
+      static_cast<std::uint64_t>(spec.nx),
+      static_cast<std::uint64_t>(defaults.stencil_planes_cutover));
+  ASSERT_GT(want.grouped, 0u);  // some levels lie below the cutover
+
+  const StencilRows sac_rows = measured_rows(MgSac(spec), v);
+  EXPECT_EQ(sac_rows.planes, want.planes) << "MgSac";
+  EXPECT_EQ(sac_rows.grouped, want.grouped) << "MgSac";
+  const StencilRows direct_rows =
+      measured_rows(MgSacDirect(spec), MgSacDirect::strip_ghosts(v));
+  EXPECT_EQ(direct_rows.planes, want.planes) << "MgSacDirect";
+  EXPECT_EQ(direct_rows.grouped, want.grouped) << "MgSacDirect";
+}
+
+INSTANTIATE_TEST_SUITE_P(Classes, RowCoverage,
+                         ::testing::Values(MgClass::S, MgClass::W),
+                         [](const ::testing::TestParamInfo<MgClass>& param) {
+                           return param.param == MgClass::S ? "S" : "W";
+                         });
 
 }  // namespace
 }  // namespace sacpp::mg

@@ -240,6 +240,59 @@ TEST(BackendRows, CombineAndAccumulateBitIdenticalAcrossEngines) {
   }
 }
 
+// The grouped rows (kPlanes below the cutover) promise more than
+// cross-engine agreement: every element is the per-point grouped_stencil3
+// tree, bit for bit.  Rows may coincide (extent-2 and extent-3 axes wrap
+// onto one row), and a quarter of the inputs are +-0.0, so a reordered sum
+// shows up in the sign of a zero as well as in the rounding.
+TEST(BackendRows, GroupedRowsEqualTheGroupedTreeOnEveryEngine) {
+  std::mt19937_64 rng(108);
+  const auto engines = all_engines();
+  const StencilCoeffs coeffs[] = {
+      kTestCoeffs,
+      {{-3.0 / 8.0, 1.0 / 32.0, -1.0 / 64.0, 0.0}},  // NPB's smoother S
+      {{0.7, -0.3, 0.11, -0.05}}};
+  for (int round = 0; round < kRounds; ++round) {
+    const extent_t n = random_length(rng) + 2;
+    std::vector<std::vector<double>> src(9);
+    for (auto& r : src) {
+      r = random_row(rng, static_cast<std::size_t>(n));
+      for (double& x : r) {
+        if (rng() % 4 == 0) x = rng() % 2 == 0 ? 0.0 : -0.0;
+      }
+    }
+    const double* rows[9];
+    for (std::size_t r = 0; r < 9; ++r) {
+      // Every fifth round some rows alias the centre or a neighbour.
+      rows[r] = round % 5 == 0 ? src[r % 3].data() : src[r].data();
+    }
+    const StencilCoeffs& c = coeffs[round % 3];
+    std::uniform_int_distribution<extent_t> bound(1, n - 1);
+    extent_t lo = bound(rng), hi = bound(rng);
+    if (hi < lo) std::swap(lo, hi);
+    std::vector<double> want(static_cast<std::size_t>(n), -99.0);
+    std::vector<double> want_acc = random_row(rng, static_cast<std::size_t>(n));
+    const std::vector<double> acc0 = want_acc;
+    for (extent_t k = lo; k < hi; ++k) {
+      const double g = grouped_stencil3(c, [&](int di, int dj, int dk) {
+        return rows[(di + 1) * 3 + (dj + 1)][k + dk];
+      });
+      want[static_cast<std::size_t>(k)] = g;
+      want_acc[static_cast<std::size_t>(k)] += g;
+    }
+    for (const Backend* be : engines) {
+      std::vector<double> o(static_cast<std::size_t>(n), -99.0);
+      be->grouped_combine_row(c.c.data(), rows, o.data(), lo, hi);
+      ASSERT_TRUE(bits_equal(o, want))
+          << be->name() << " n=" << n << " [" << lo << "," << hi << ")";
+      std::vector<double> a = acc0;
+      be->grouped_accumulate_row(c.c.data(), rows, a.data(), lo, hi);
+      ASSERT_TRUE(bits_equal(a, want_acc))
+          << be->name() << " n=" << n << " [" << lo << "," << hi << ")";
+    }
+  }
+}
+
 TEST(BackendRows, EwiseMergesBitIdenticalAcrossEngines) {
   std::mt19937_64 rng(104);
   const auto engines = all_engines();
@@ -351,11 +404,16 @@ TEST(BackendRows, AlignmentOffsetSweepBitIdenticalAcrossEngines) {
         std::vector<std::vector<double>> rows;
         std::vector<double> ss, ma;
         for (const Backend* be : engines) {
-          // Outputs: fill, copy, u1, u2, combine, gather, scatter start as
-          // a sentinel; accumulate and the ewise merges start from in[7].
-          std::vector<Row> o(11);
+          // Outputs: fill, copy, u1, u2, combine, gather, scatter and the
+          // grouped combine start as a sentinel; accumulate, the ewise
+          // merges and the grouped accumulate start from in[7].
+          std::vector<Row> o(13);
           for (Row& r : o) std::fill(std::begin(r.v), std::end(r.v), -99.0);
           for (std::size_t i = 5; i < 9; ++i) o[i] = in[7];
+          o[12] = in[7];
+          const double* nine[9] = {row(in[0]), row(in[1]), row(in[2]),
+                                   row(in[3]), row(in[4]), row(in[5]),
+                                   row(in[6]), row(in[7]), row(in[0])};
           be->fill_row(out_row(o[0]), lo, hi, 0.75);
           be->copy_row(out_row(o[1]), row(in[0]), lo, hi);
           be->plane_sums(row(in[0]), row(in[1]), row(in[2]), row(in[3]),
@@ -370,6 +428,10 @@ TEST(BackendRows, AlignmentOffsetSweepBitIdenticalAcrossEngines) {
           be->mul_into_row(row(in[3]), out_row(o[8]), lo, hi);
           be->gather_row(out_row(o[9]), row(in[4]), kStride, len);
           be->scatter_row(out_row(o[10]), kStride, row(in[5]), len);
+          be->grouped_combine_row(kTestCoeffs.c.data(), nine, out_row(o[11]),
+                                  lo, hi);
+          be->grouped_accumulate_row(kTestCoeffs.c.data(), nine,
+                                     out_row(o[12]), lo, hi);
           std::vector<double> flat;
           for (const Row& r : o) flat.insert(flat.end(), r.v, r.v + 64);
           rows.push_back(std::move(flat));

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "sacpp/sac/periodic_stencil.hpp"
 #include "sacpp/sac/sac.hpp"
@@ -40,6 +43,14 @@ Array<double> brute_force_relax(const Array<double>& a,
 }
 
 constexpr StencilCoeffs kTestCoeffs{{-0.5, 0.125, 0.0625, 0.03125}};
+
+// Byte equality of two arrays: == would let -0.0 and +0.0 pass.
+bool same_bits(const Array<double>& a, const Array<double>& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.elem_count()) *
+                         sizeof(double)) == 0;
+}
 
 TEST(StencilTable, Rank3Has27EntriesWithCorrectClassCounts) {
   const auto& t = StencilTable::for_rank(3);
@@ -101,14 +112,15 @@ TEST_P(RelaxRank, PlanesMatchesGroupedOnRandomInput) {
 INSTANTIATE_TEST_SUITE_P(Ranks, RelaxRank, ::testing::Values(1, 2, 3));
 
 TEST(Planes, BelowCutoverFallsBackToGroupedBitwise) {
-  // Grids under the cutover evaluate kPlanes per point through the grouped
-  // association tree, so the fallback is bit-identical, not just close.
+  // Grids under the cutover evaluate kPlanes on grouped rows: the grouped
+  // association tree of every point, so the fallback is bit-identical to
+  // kGrouped's per-point evaluation, not just close.
   auto a = random_array(Shape{6, 6, 6}, 29);
   auto grouped = relax_kernel(a, kTestCoeffs, StencilMode::kGrouped);
+  const std::uint64_t before = stats().stencil_rows_grouped;
   auto planes = relax_kernel(a, kTestCoeffs, StencilMode::kPlanes);
-  for (extent_t i = 0; i < grouped.elem_count(); ++i) {
-    ASSERT_DOUBLE_EQ(grouped.at_linear(i), planes.at_linear(i)) << i;
-  }
+  EXPECT_EQ(stats().stencil_rows_grouped - before, 4u * 4u);  // took rows
+  EXPECT_TRUE(same_bits(grouped, planes));
 }
 
 TEST(Planes, RowPathCountsReusedRows) {
@@ -215,6 +227,173 @@ TEST(Planes, ScratchComesFromThePoolWhenEnabled) {
   relax_kernel(a, kTestCoeffs, StencilMode::kPlanes);
   // The second run's scratch block recycles the first run's release.
   EXPECT_GT(stats().pool_hits, hits_before);
+}
+
+// -- grouped rows: kPlanes below the cutover, bit for bit --------------------
+//
+// Every way a V-cycle uses a rank-3 stencil, on grids under the cutover,
+// against the same expression in kGrouped mode (which evaluates per point):
+// plain and periodically wrapped StencilExpr, ghost-free PeriodicStencilExpr,
+// each as a fill, an in-place accumulate (psinv's z += S r), fused into an
+// ewise (resid's v - A u) and under lazy_condense (rprj3).  Interior extents
+// 1-17, cubes and non-cubes, every backend kind, MT off and on at 1-8
+// threads, and inputs where a quarter of the values are +-0.0 (one grid all
+// -0.0), so that a reordered sum shows in the sign of a zero too.
+
+// Random values with a quarter of them +0.0 or -0.0; all -0.0 for seed 0.
+Array<double> signed_zero_array(const Shape& shp, unsigned seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  return with_genarray<double>(shp, [&](const IndexVec&) {
+    if (seed == 0) return -0.0;
+    const std::uint64_t r = rng();
+    if (r % 4 == 0) return (r / 4) % 2 == 0 ? 0.0 : -0.0;
+    return dist(rng);
+  });
+}
+
+// z + (S r) in place through StencilExpr::accumulate_row on the row path and
+// z + st(i, j, k) per point: MgSac's add_smooth body.
+struct AccumulateBody {
+  const StencilExpr& st;
+  const double* self;
+  extent_t e1, e2;
+
+  double operator()(extent_t i, extent_t j, extent_t k) const {
+    return self[(i * e1 + j) * e2 + k] + st(i, j, k);
+  }
+  double operator()(const IndexVec& iv) const {
+    return (*this)(iv[0], iv[1], iv[2]);
+  }
+  bool row_fill_enabled() const { return st.row_fill_enabled(); }
+  PlaneScratch make_row_state() const { return st.make_row_state(); }
+  void fill_row(PlaneScratch& s, extent_t i, extent_t j, double* out,
+                extent_t k_lo, extent_t k_hi) const {
+    st.accumulate_row(s, i, j, out, k_lo, k_hi);
+  }
+};
+
+Array<double> accumulate(Array<double> z, const StencilExpr& st) {
+  const Shape shp = z.shape();
+  double* self = z.mutable_data();
+  detail::execute_assign(self, shp, detail::resolve(gen_all(), shp),
+                         AccumulateBody{st, self, shp[1], shp[2]});
+  return z;
+}
+
+// The stencil uses of one ghosted grid `a` (with `v` of the same shape) and
+// one ghost-free grid `p` (with `pv`; skipped when `p` is not rank 3), in
+// `mode`.  accumulate() updates a private copy of `v` (copy-on-write).
+std::vector<Array<double>> stencil_uses(const Array<double>& a,
+                                        const Array<double>& v,
+                                        const Array<double>& p,
+                                        const Array<double>& pv,
+                                        const StencilCoeffs& c,
+                                        StencilMode mode) {
+  std::vector<Array<double>> out;
+  const StencilExpr plain(a, c, mode);
+  const StencilExpr wrapped(lazy_periodic_border(a), c, mode);
+  out.push_back(relax_kernel(a, c, mode));
+  out.push_back(relax_kernel(lazy_periodic_border(a), c, mode));
+  out.push_back(accumulate(v, plain));
+  out.push_back(accumulate(v, wrapped));
+  out.push_back(force(ewise(v, wrapped, std::minus<>{})));
+  out.push_back(force(ewise(v, plain, std::plus<>{})));
+  auto condensed = lazy_condense(2, wrapped);
+  const IndexVec coarse = condensed.shape().extents() + 1;
+  out.push_back(force(lazy_embed(coarse, 0 * coarse, condensed)));
+  out.push_back(force(lazy_condense(2, plain, 1)));
+  if (p.rank() == 3) {  // ghost-free grids need extent >= 2
+    const PeriodicStencilExpr periodic(p, c, mode);
+    out.push_back(relax_kernel_periodic(p, c, mode));
+    out.push_back(force(ewise(pv, periodic, std::plus<>{})));
+    out.push_back(force(ewise(pv, periodic, std::minus<>{})));
+    out.push_back(force(lazy_condense(2, periodic, 1)));
+  }
+  return out;
+}
+
+struct GroupedRowsCase {
+  Shape interior;
+  unsigned seed;
+};
+
+std::vector<GroupedRowsCase> grouped_rows_cases() {
+  std::vector<GroupedRowsCase> cases;
+  for (extent_t n = 1; n <= 17; ++n) {
+    const auto u = static_cast<unsigned>(n);
+    cases.push_back({Shape{n, n, n}, 100 + u});
+    cases.push_back({Shape{n, 1 + (7 * n) % 17, 1 + (5 * n) % 17}, 200 + u});
+  }
+  cases.push_back({Shape{5, 3, 9}, 0});  // all -0.0
+  return cases;
+}
+
+void expect_grouped_rows_match(const GroupedRowsCase& gc,
+                               const SacConfig& cfg, const std::string& what) {
+  const Shape& n = gc.interior;
+  const Shape ghosted{n[0] + 2, n[1] + 2, n[2] + 2};
+  const Array<double> a = signed_zero_array(ghosted, gc.seed);
+  const Array<double> v = signed_zero_array(ghosted, gc.seed + 1000);
+  const bool periodic = n[0] >= 2 && n[1] >= 2 && n[2] >= 2;
+  const Array<double> p =
+      periodic ? signed_zero_array(n, gc.seed + 2000) : Array<double>();
+  const Array<double> pv =
+      periodic ? signed_zero_array(n, gc.seed + 3000) : Array<double>();
+  const StencilCoeffs coeffs[] = {
+      kTestCoeffs,
+      {{-8.0 / 3.0, 0.0, 1.0 / 6.0, 1.0 / 12.0}},     // NPB's A
+      {{-3.0 / 8.0, 1.0 / 32.0, -1.0 / 64.0, 0.0}}};  // NPB's S (a, b)
+  for (const StencilCoeffs& c : coeffs) {
+    const auto want = stencil_uses(a, v, p, pv, c, StencilMode::kGrouped);
+    ScopedConfig guard(cfg);
+    const std::uint64_t before = stats().stencil_rows_grouped;
+    const auto got = stencil_uses(a, v, p, pv, c, StencilMode::kPlanes);
+    EXPECT_GT(stats().stencil_rows_grouped, before) << what;
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t u = 0; u < got.size(); ++u) {
+      ASSERT_TRUE(same_bits(got[u], want[u]))
+          << what << " use " << u << " interior " << n[0] << "x" << n[1]
+          << "x" << n[2] << " c0=" << c[0];
+    }
+  }
+}
+
+TEST(GroupedRows, EveryStencilUseMatchesPerPointGroupedOnEveryBackend) {
+  for (const GroupedRowsCase& gc : grouped_rows_cases()) {
+    for (const BackendKind kind :
+         {BackendKind::kScalar, BackendKind::kSimd,
+          BackendKind::kSimdPortable}) {
+      SacConfig cfg = config();
+      cfg.backend = kind;
+      cfg.stencil_planes_cutover = 18;
+      expect_grouped_rows_match(gc, cfg, backend_name(kind));
+    }
+  }
+}
+
+TEST(GroupedRows, MultithreadedSweepsMatchPerPointGrouped) {
+  const GroupedRowsCase cases[] = {{Shape{16, 16, 16}, 301},
+                                   {Shape{17, 9, 13}, 302},
+                                   {Shape{8, 8, 8}, 303},
+                                   {Shape{3, 5, 2}, 304}};
+  for (const GroupedRowsCase& gc : cases) {
+    for (unsigned threads = 1; threads <= 8; ++threads) {
+      for (const BackendKind kind :
+           {BackendKind::kScalar, BackendKind::kSimd}) {
+        SacConfig cfg = config();
+        cfg.backend = kind;
+        cfg.stencil_planes_cutover = 18;
+        cfg.mt_enabled = true;
+        cfg.mt_threads = threads;
+        cfg.mt_threshold = 1;
+        expect_grouped_rows_match(
+            gc, cfg,
+            std::string(backend_name(kind)) + " threads " +
+                std::to_string(threads));
+      }
+    }
+  }
 }
 
 TEST(Relax, BoundaryRingIsZero) {
